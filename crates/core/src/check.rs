@@ -57,6 +57,10 @@ pub trait CoherenceView {
 
     /// Every line resident in `node`'s snooping cache, with its mode and
     /// the data version it holds. Order is not significant.
+    ///
+    /// The invariant checks and the model's fingerprints call this once
+    /// per node at every quiescent point, so an implementation should
+    /// cost O(resident lines), not O(cache capacity).
     fn resident(&self, node: NodeId) -> Vec<(LineAddr, LineMode, LineVersion)>;
 
     /// Lines held by `node`'s processor (L1) cache; empty when the L1

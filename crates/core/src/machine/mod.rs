@@ -418,10 +418,10 @@ impl Machine {
     /// Writes `line`'s synchronization word from `node`, which must hold
     /// the line modified (a local write to an owned line; no bus traffic).
     ///
-    /// # Errors
+    /// # Returns
     ///
-    /// Returns `Err(())`-like [`SubmitError::Busy`]? No — returns `false`
-    /// when the node does not hold the line modified; the caller must
+    /// `true` when the word was written. `false`, with nothing changed,
+    /// when `node` does not hold the line modified; the caller must
     /// acquire ownership first (e.g. with a write request).
     pub fn write_sync_word(&mut self, node: NodeId, line: LineAddr, value: u64) -> bool {
         let holds = self.controllers[node.as_usize()].mode_of(&line) == Some(LineMode::Modified);

@@ -81,6 +81,17 @@ struct Way<M> {
 /// Lookups, insertions and removals are O(ways). Absence of a line means
 /// "invalid" — the protocol never stores an explicit invalid mode.
 ///
+/// A per-set occupancy bitmap (one bit per set, set while the set holds
+/// any line) lets [`iter`](Self::iter) skip empty sets 64 at a time, so a
+/// walk costs O(sets / 64 + resident) rather than O(sets). The coherence
+/// checkers and the model cross-validation walk every node's snooping
+/// cache at every quiescent point, and those caches are mostly empty.
+///
+/// The set table and the bitmap are allocated on the first insertion, so
+/// building and dropping a cache that is never filled costs nothing — the
+/// common case for the thousands of short-lived 2×2 machines the model
+/// cross-validation builds.
+///
 /// # Example
 ///
 /// ```
@@ -97,17 +108,22 @@ struct Way<M> {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<M> {
     geometry: CacheGeometry,
+    /// One `Vec` per set; empty until the first insertion.
     sets: Vec<Vec<Way<M>>>,
+    /// Bit `s % 64` of word `s / 64` is set iff set `s` is non-empty.
+    occupied: Vec<u64>,
     clock: u64,
     len: usize,
 }
 
 impl<M> SetAssocCache<M> {
-    /// Creates an empty cache with the given geometry.
+    /// Creates an empty cache with the given geometry. Nothing is
+    /// allocated until the first insertion.
     pub fn new(geometry: CacheGeometry) -> Self {
         SetAssocCache {
             geometry,
-            sets: (0..geometry.sets()).map(|_| Vec::new()).collect(),
+            sets: Vec::new(),
+            occupied: Vec::new(),
             clock: 0,
             len: 0,
         }
@@ -135,7 +151,7 @@ impl<M> SetAssocCache<M> {
 
     /// Looks up a line without affecting recency (a *snoop*, not an access).
     pub fn peek(&self, line: &LineAddr) -> Option<&M> {
-        let set = &self.sets[self.geometry.set_of(*line)];
+        let set = self.sets.get(self.geometry.set_of(*line))?;
         set.iter().find(|w| w.line == *line).map(|w| &w.meta)
     }
 
@@ -143,7 +159,7 @@ impl<M> SetAssocCache<M> {
     pub fn get(&mut self, line: &LineAddr) -> Option<&M> {
         let stamp = self.tick();
         let set_idx = self.geometry.set_of(*line);
-        let set = &mut self.sets[set_idx];
+        let set = self.sets.get_mut(set_idx)?;
         let way = set.iter_mut().find(|w| w.line == *line)?;
         way.touched = stamp;
         Some(&way.meta)
@@ -153,7 +169,7 @@ impl<M> SetAssocCache<M> {
     pub fn get_mut(&mut self, line: &LineAddr) -> Option<&mut M> {
         let stamp = self.tick();
         let set_idx = self.geometry.set_of(*line);
-        let set = &mut self.sets[set_idx];
+        let set = self.sets.get_mut(set_idx)?;
         let way = set.iter_mut().find(|w| w.line == *line)?;
         way.touched = stamp;
         Some(&mut way.meta)
@@ -162,7 +178,8 @@ impl<M> SetAssocCache<M> {
     /// Mutable lookup without touching recency (snoop-side state change).
     pub fn peek_mut(&mut self, line: &LineAddr) -> Option<&mut M> {
         let set_idx = self.geometry.set_of(*line);
-        self.sets[set_idx]
+        self.sets
+            .get_mut(set_idx)?
             .iter_mut()
             .find(|w| w.line == *line)
             .map(|w| &mut w.meta)
@@ -181,6 +198,11 @@ impl<M> SetAssocCache<M> {
         let stamp = self.tick();
         let set_idx = self.geometry.set_of(line);
         let ways = self.geometry.ways() as usize;
+        if self.sets.is_empty() {
+            let sets = self.geometry.sets();
+            self.sets = (0..sets).map(|_| Vec::new()).collect();
+            self.occupied = vec![0; sets.div_ceil(64) as usize];
+        }
         let set = &mut self.sets[set_idx];
 
         if let Some(way) = set.iter_mut().find(|w| w.line == line) {
@@ -204,6 +226,9 @@ impl<M> SetAssocCache<M> {
                 meta: victim.meta,
             });
         }
+        if set.is_empty() {
+            self.occupied[set_idx / 64] |= 1 << (set_idx % 64);
+        }
         set.push(Way {
             line,
             meta,
@@ -217,7 +242,7 @@ impl<M> SetAssocCache<M> {
     /// way of the target set, or `None` if there is a free way or the line
     /// is already resident.
     pub fn victim_for(&self, line: &LineAddr) -> Option<(LineAddr, &M)> {
-        let set = &self.sets[self.geometry.set_of(*line)];
+        let set = self.sets.get(self.geometry.set_of(*line))?;
         if set.iter().any(|w| w.line == *line) {
             return None;
         }
@@ -232,29 +257,33 @@ impl<M> SetAssocCache<M> {
     /// Removes a line, returning its metadata if it was resident.
     pub fn remove(&mut self, line: &LineAddr) -> Option<M> {
         let set_idx = self.geometry.set_of(*line);
-        let set = &mut self.sets[set_idx];
+        let set = self.sets.get_mut(set_idx)?;
         let pos = set.iter().position(|w| w.line == *line)?;
         let way = set.swap_remove(pos);
+        if set.is_empty() {
+            self.occupied[set_idx / 64] &= !(1 << (set_idx % 64));
+        }
         self.len -= 1;
         Some(way.meta)
     }
 
-    /// Iterates over all resident `(line, meta)` pairs in unspecified order.
+    /// Iterates over all resident `(line, meta)` pairs, set by set in
+    /// ascending set order and, within a set, in way order. The order is
+    /// a pure function of the operation history, so snapshots and digests
+    /// built from it are reproducible.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &M)> {
-        self.sets
-            .iter()
-            .flat_map(|set| set.iter().map(|w| (w.line, &w.meta)))
+        set_bits(&self.occupied).flat_map(|s| self.sets[s].iter().map(|w| (w.line, &w.meta)))
     }
 
-    /// Drains the cache, returning all resident lines.
+    /// Drains the cache, returning all resident lines in [`iter`](Self::iter)
+    /// order.
     pub fn drain(&mut self) -> Vec<(LineAddr, M)> {
-        self.len = 0;
-        let mut out = Vec::new();
-        for set in &mut self.sets {
-            for w in set.drain(..) {
-                out.push((w.line, w.meta));
-            }
+        let mut out = Vec::with_capacity(self.len);
+        for s in set_bits(&self.occupied) {
+            out.extend(self.sets[s].drain(..).map(|way| (way.line, way.meta)));
         }
+        self.occupied.fill(0);
+        self.len = 0;
         out
     }
 
@@ -265,6 +294,22 @@ impl<M> SetAssocCache<M> {
     {
         self.iter().map(|(l, m)| (l, m.clone())).collect()
     }
+}
+
+/// Indices of the set bits of a bitmap (bit `i % 64` of word `i / 64`),
+/// ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let b = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(w * 64 + b)
+        })
+    })
 }
 
 #[cfg(test)]
@@ -374,6 +419,34 @@ mod tests {
         let snap = c.snapshot();
         assert_eq!(snap.len(), 10);
         assert_eq!(snap[&line(7)], 7);
+    }
+
+    #[test]
+    fn bitmap_walk_matches_a_full_set_major_scan() {
+        // 130 sets: three bitmap words, the last one partial.
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(130, 2));
+        let full_scan = |c: &SetAssocCache<u32>| -> Vec<(LineAddr, u32)> {
+            c.sets
+                .iter()
+                .flat_map(|set| set.iter().map(|w| (w.line, w.meta)))
+                .collect()
+        };
+        let walk = |c: &SetAssocCache<u32>| -> Vec<(LineAddr, u32)> {
+            c.iter().map(|(l, m)| (l, *m)).collect()
+        };
+        for i in (0..400).step_by(3) {
+            c.insert(line(i), i as u32);
+            assert_eq!(walk(&c), full_scan(&c));
+        }
+        for i in (0..400).step_by(6) {
+            c.remove(&line(i));
+            assert_eq!(walk(&c), full_scan(&c));
+            assert_eq!(c.iter().count(), c.len());
+        }
+        let expect = full_scan(&c);
+        assert_eq!(c.drain(), expect);
+        assert!(c.occupied.iter().all(|&w| w == 0));
+        assert_eq!(c.iter().count(), 0);
     }
 
     #[test]

@@ -25,7 +25,122 @@ fn cache_ops() -> impl Strategy<Value = Vec<CacheOp>> {
     )
 }
 
+/// A step of the iteration property: the cache operations plus `drain`.
+#[derive(Debug, Clone)]
+enum IterOp {
+    Insert(u64, u32),
+    Get(u64),
+    Remove(u64),
+    Drain,
+}
+
+/// Mostly inserts, gets and removes over 512 lines; about one step in 32
+/// drains.
+fn iter_ops() -> impl Strategy<Value = Vec<IterOp>> {
+    prop::collection::vec(
+        (0u8..32, 0u64..512, any::<u32>()).prop_map(|(k, l, m)| match k {
+            0 => IterOp::Drain,
+            1..=12 => IterOp::Insert(l, m),
+            13..=22 => IterOp::Get(l),
+            _ => IterOp::Remove(l),
+        }),
+        0..300,
+    )
+}
+
+/// A reference set-associative cache: one `Vec` of `(line, meta, stamp)`
+/// per set, LRU by stamp, a victim swap-removed. Its scan visits every
+/// set in order, empty or not.
+struct ReferenceCache {
+    sets: Vec<Vec<(u64, u32, u64)>>,
+    ways: usize,
+    clock: u64,
+}
+
+impl ReferenceCache {
+    fn new(sets: u32, ways: u32) -> Self {
+        ReferenceCache {
+            sets: vec![Vec::new(); sets as usize],
+            ways: ways as usize,
+            clock: 0,
+        }
+    }
+
+    fn set(&mut self, line: u64) -> &mut Vec<(u64, u32, u64)> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[(line % n) as usize]
+    }
+
+    fn apply(&mut self, op: &IterOp) {
+        match *op {
+            IterOp::Insert(l, m) => {
+                self.clock += 1;
+                let (stamp, ways) = (self.clock, self.ways);
+                let set = self.set(l);
+                if let Some(w) = set.iter_mut().find(|w| w.0 == l) {
+                    *w = (l, m, stamp);
+                    return;
+                }
+                if set.len() >= ways {
+                    let lru = (0..set.len()).min_by_key(|&i| set[i].2).unwrap();
+                    set.swap_remove(lru);
+                }
+                set.push((l, m, stamp));
+            }
+            IterOp::Get(l) => {
+                self.clock += 1;
+                let stamp = self.clock;
+                if let Some(w) = self.set(l).iter_mut().find(|w| w.0 == l) {
+                    w.2 = stamp;
+                }
+            }
+            IterOp::Remove(l) => {
+                let set = self.set(l);
+                if let Some(pos) = set.iter().position(|w| w.0 == l) {
+                    set.swap_remove(pos);
+                }
+            }
+            IterOp::Drain => self.sets.iter_mut().for_each(Vec::clear),
+        }
+    }
+
+    fn scan(&self) -> Vec<(LineAddr, u32)> {
+        self.sets
+            .iter()
+            .flat_map(|set| set.iter().map(|&(l, m, _)| (LineAddr::new(l), m)))
+            .collect()
+    }
+}
+
 proptest! {
+    /// `iter` yields exactly a full set-major scan of a reference cache
+    /// after every step, `len` agrees with it, and `drain` returns the
+    /// same sequence, whatever the geometry (set counts below, at and
+    /// across 64-set bitmap words).
+    #[test]
+    fn iteration_matches_a_full_set_major_scan(
+        ops in iter_ops(),
+        sets in 1u32..200,
+        ways in 1u32..5,
+    ) {
+        let mut cache: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(sets, ways));
+        let mut reference = ReferenceCache::new(sets, ways);
+        for op in &ops {
+            let expect = reference.scan();
+            match *op {
+                IterOp::Insert(l, m) => { cache.insert(LineAddr::new(l), m); }
+                IterOp::Get(l) => { cache.get(&LineAddr::new(l)); }
+                IterOp::Remove(l) => { cache.remove(&LineAddr::new(l)); }
+                IterOp::Drain => prop_assert_eq!(cache.drain(), expect),
+            }
+            reference.apply(op);
+            let expect = reference.scan();
+            let walked: Vec<(LineAddr, u32)> = cache.iter().map(|(l, m)| (l, *m)).collect();
+            prop_assert_eq!(&walked, &expect);
+            prop_assert_eq!(cache.len(), expect.len());
+        }
+    }
+
     /// The cache never exceeds its capacity and set residency never exceeds
     /// the way count, under arbitrary operation sequences.
     #[test]

@@ -15,9 +15,11 @@
 //! breadth-first, so the failing state sits at the shallowest depth at
 //! which any violation is reachable.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::hash::Hash;
+
+use multicube_sim::FxHashMap;
 
 /// A guard predicate over `(state, param)`.
 pub type Guard<S> = Box<dyn Fn(&S, u32) -> bool + Send + Sync>;
@@ -131,7 +133,7 @@ where
 {
     let mut states: Vec<S> = Vec::new();
     let mut parents: Vec<Option<(usize, usize, u32)>> = Vec::new();
-    let mut ids: HashMap<S, usize> = HashMap::new();
+    let mut ids: FxHashMap<S, usize> = FxHashMap::default();
     let mut queue: VecDeque<usize> = VecDeque::new();
     let mut transitions = 0u64;
     let mut truncated = false;
@@ -163,14 +165,16 @@ where
                     continue;
                 }
                 transitions += 1;
-                let succ = canon(&(rule.action)(&states[id], param));
-                if ids.contains_key(&succ) {
-                    continue;
-                }
                 let new_id = states.len();
-                states.push(succ.clone());
+                // One hash per successor; only a new state is cloned.
+                match ids.entry(canon(&(rule.action)(&states[id], param))) {
+                    Entry::Occupied(_) => continue,
+                    Entry::Vacant(slot) => {
+                        states.push(slot.key().clone());
+                        slot.insert(new_id);
+                    }
+                }
                 parents.push(Some((id, rule_idx, param)));
-                ids.insert(succ, new_id);
                 if let Err(error) = check(&states[new_id]) {
                     let exploration = Exploration {
                         states,

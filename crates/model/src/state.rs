@@ -193,14 +193,26 @@ impl State {
                     ls.data[i] = 0;
                 }
             }
-            let mut gens: Vec<u8> = vec![ls.committed, ls.mem_data];
+            // Committed, memory and up to one held generation per node.
+            let mut gens = [0u8; NODES + 2];
+            gens[0] = ls.committed;
+            gens[1] = ls.mem_data;
+            let mut n = 2;
             for i in 0..NODES {
                 if ls.mode[i] != Mode::I {
-                    gens.push(ls.data[i]);
+                    gens[n] = ls.data[i];
+                    n += 1;
                 }
             }
-            gens.sort_unstable();
-            gens.dedup();
+            gens[..n].sort_unstable();
+            let mut distinct = 1;
+            for j in 1..n {
+                if gens[j] != gens[distinct - 1] {
+                    gens[distinct] = gens[j];
+                    distinct += 1;
+                }
+            }
+            let gens = &gens[..distinct];
             let rank = |g: u8| gens.binary_search(&g).expect("gen collected") as u8;
             ls.committed = rank(ls.committed);
             ls.mem_data = rank(ls.mem_data);
