@@ -9,8 +9,8 @@
 //! cargo run --release -p multicube-bench --bin figures -- fig2 --quick
 //! ```
 //!
-//! Criterion benches under `benches/` time one representative operating
-//! point per experiment so `cargo bench` exercises every code path.
+//! The `perf` binary times one kernel per simulation layer and writes
+//! `BENCH_core.json` (see [`perf`]).
 
 pub mod csv;
 pub mod perf;

@@ -28,7 +28,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use multicube::{FaultPlan, Machine, MachineConfig, Request, SyntheticSpec};
-use multicube_mem::LineAddr;
+use multicube_mem::{CacheGeometry, LineAddr, SetAssocCache};
 use multicube_sim::pool::Pool;
 use multicube_sim::{DeterministicRng, EventQueue};
 use multicube_topology::NodeId;
@@ -162,8 +162,7 @@ fn measure(
 
 /// The `machine_1k_transactions` kernel: 1000 mixed read/write requests
 /// round-robined over a 4×4 grid, then drained to quiescence. This is the
-/// headline number optimization PRs are judged against (same body as the
-/// criterion `machine_1k_transactions` bench).
+/// headline number optimization PRs are judged against.
 ///
 /// Deliberately NOT scaled down in quick mode: this is the kernel the CI
 /// regression guard compares against the committed full-mode report, and
@@ -268,6 +267,23 @@ fn kernel_queue_churn(quick: bool) -> u64 {
         acc = acc.wrapping_add(e);
     }
     acc
+}
+
+/// Insert/lookup pairs one `cache_churn` pass performs.
+const CACHE_CHURN_OPS: u64 = 10_000;
+
+/// The `cache_churn` kernel: the `mem` layer alone — a 256-set, 4-way
+/// [`SetAssocCache`] taking an insert and a lookup per step over a 2048-line
+/// footprint (twice its capacity), so every step past warm-up evicts. Not
+/// scaled down in quick mode: one pass is well under a millisecond.
+fn kernel_cache_churn(_quick: bool) -> u64 {
+    let mut cache: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(256, 4));
+    let mut hits = 0u64;
+    for i in 0..CACHE_CHURN_OPS {
+        cache.insert(LineAddr::new(i % 2048), i as u32);
+        hits += u64::from(cache.get(&LineAddr::new((i * 7) % 2048)).is_some());
+    }
+    hits + cache.len() as u64
 }
 
 /// Machine events one `cube_pdes_events` pass delivers — measured once
@@ -387,6 +403,12 @@ pub fn run_all(cfg: &PerfConfig) -> (Vec<KernelResult>, Vec<KernelFailure>) {
              executor at 2 workers, adaptive window; units are machine events",
             CUBE_PDES_EVENTS,
             Box::new(move || kernel_cube_pdes_parallel(quick)),
+        ),
+        (
+            "cache_churn",
+            "10k insert+lookup pairs on a 256-set 4-way cache over a 2048-line footprint",
+            CACHE_CHURN_OPS,
+            Box::new(move || kernel_cache_churn(quick)),
         ),
     ];
     let names: Vec<&'static str> = kernels.iter().map(|(name, _, _, _)| *name).collect();
@@ -646,6 +668,7 @@ pub fn validate_report(text: &str) -> Result<(), String> {
         "queue_churn",
         "cube_pdes_events",
         "cube_pdes_events_parallel",
+        "cache_churn",
     ] {
         match medians.iter().find(|(n, _)| n == required) {
             None => return Err(format!("missing kernel {required}")),
@@ -720,15 +743,15 @@ mod tests {
         };
         let (results, failures) = run_all(&cfg);
         assert!(failures.is_empty(), "{failures:?}");
-        assert_eq!(results.len(), 6);
+        assert_eq!(results.len(), 7);
         let json = render_json(&cfg, &results, None);
         validate_report(&json).unwrap();
         let medians = extract_kernel_medians(&json);
-        assert_eq!(medians.len(), 6);
+        assert_eq!(medians.len(), 7);
         assert_eq!(medians[0].0, "machine_1k_transactions");
         assert_eq!(medians[0].1, results[0].median_ns);
         let stats = extract_kernel_stats(&json);
-        assert_eq!(stats.len(), 6);
+        assert_eq!(stats.len(), 7);
         // The guard kernels run their full workloads even in quick mode,
         // so CI guard comparisons are like-for-like.
         assert_eq!(stats[0].work_units, 1_000);
@@ -737,6 +760,8 @@ mod tests {
         assert_eq!(stats[4].work_units, CUBE_PDES_EVENTS);
         assert_eq!(stats[5].name, "cube_pdes_events_parallel");
         assert_eq!(stats[5].work_units, CUBE_PDES_EVENTS);
+        assert_eq!(stats[6].name, "cache_churn");
+        assert_eq!(stats[6].work_units, CACHE_CHURN_OPS);
         assert!(json.contains("\"p90_ns\""));
         assert!(json.contains("\"outliers\""));
     }

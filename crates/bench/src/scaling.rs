@@ -381,7 +381,7 @@ const FULL_LEGS: [(CubeShards, ExecutorKind, bool); 3] = [
 ///
 /// Every point executes serially first (the reference). Quick mode then
 /// reruns it at the configured worker count; full mode additionally runs
-/// a serial pass at the *other* granularity and then every [`FULL_LEGS`]
+/// a serial pass at the *other* granularity and then every `FULL_LEGS`
 /// combination, timed. Every rerun's fingerprint is asserted identical to
 /// the reference before the point is recorded: the committed artifact is
 /// itself a determinism proof across worker counts, granularities,

@@ -3,9 +3,8 @@
 //! comparison (E-1.1) — plus ASCII rendering helpers.
 
 use multicube::{
-    FaultPlan, Machine, MachineConfig, Request, RequestKind, RetryPolicy, SyntheticSpec,
+    EngineKind, FaultPlan, Machine, MachineConfig, Request, RequestKind, RetryPolicy, SyntheticSpec,
 };
-use multicube_baseline::SingleBusMulti;
 use multicube_mem::LineAddr;
 use multicube_mva::FigureSeries;
 use multicube_sim::pool::Pool;
@@ -218,22 +217,25 @@ pub struct BaselineRow {
 }
 
 /// Compares the single-bus multi against the Multicube at matched
-/// processor counts and request rate (E-1.1).
+/// processor counts and request rate (E-1.1). The multi is the same
+/// `side x side` machine driven by [`EngineKind::Mesi`], which snoops
+/// every processor on row bus 0: "a multi is a Multicube for which k = 1".
 pub fn baseline_rows(rate_per_ms: f64, txns: u64) -> Vec<BaselineRow> {
     [2u32, 4, 6, 8, 12, 16]
         .iter()
         .map(|&side| {
-            let processors = side * side;
             let spec = SyntheticSpec::default().with_request_rate_per_ms(rate_per_ms);
-            let mut multi = SingleBusMulti::new(processors, 17);
-            let multi_report = multi.run_synthetic(&spec, txns);
-            let mut cube = Machine::new(MachineConfig::grid(side).unwrap(), 17).unwrap();
-            let cube_report = cube.run_synthetic(&spec, txns);
+            let run = |engine| {
+                let config = MachineConfig::grid(side).unwrap().with_engine(engine);
+                Machine::new(config, 17).unwrap().run_synthetic(&spec, txns)
+            };
+            let multi = run(EngineKind::Mesi);
+            let cube = run(EngineKind::Multicube);
             BaselineRow {
-                processors,
-                multi_efficiency: multi_report.efficiency,
-                multi_utilization: multi_report.bus_utilization,
-                multicube_efficiency: cube_report.efficiency,
+                processors: side * side,
+                multi_efficiency: multi.efficiency,
+                multi_utilization: multi.buses[0].utilization,
+                multicube_efficiency: cube.efficiency,
             }
         })
         .collect()
@@ -402,6 +404,10 @@ mod tests {
         // far behind the grid.
         assert!(small.multi_efficiency > 0.5);
         assert!(large.multicube_efficiency > large.multi_efficiency + 0.2);
+        // Every processor loads the one bus, so it only gets busier.
+        assert!(rows
+            .windows(2)
+            .all(|w| w[1].multi_utilization > w[0].multi_utilization));
     }
 
     #[test]

@@ -121,12 +121,6 @@ pub enum MachineConfigError {
     /// A fault-plan or retry-policy knob was invalid (this subsumes the old
     /// `BadDropProbability`: the drop knob now lives on [`FaultPlan`]).
     Fault(FaultConfigError),
-    /// The deprecated `with_signal_drop_probability` shim was combined with
-    /// an explicit [`FaultPlan`]: the composition order would silently
-    /// decide which drop probability wins, so the mix is rejected. Fold the
-    /// drop knob into the plan instead:
-    /// `with_fault_plan(FaultPlan::default().with_signal_drop(p))`.
-    ConflictingFaultShim,
 }
 
 impl fmt::Display for MachineConfigError {
@@ -138,12 +132,6 @@ impl fmt::Display for MachineConfigError {
             }
             MachineConfigError::BadPieceSize => write!(f, "piece size must be nonzero"),
             MachineConfigError::Fault(e) => write!(f, "invalid fault configuration: {e}"),
-            MachineConfigError::ConflictingFaultShim => write!(
-                f,
-                "deprecated with_signal_drop_probability cannot be combined with \
-                 with_fault_plan; set the drop probability on the FaultPlan via \
-                 FaultPlan::with_signal_drop instead"
-            ),
         }
     }
 }
@@ -213,10 +201,6 @@ pub struct MachineConfig {
     engine: EngineKind,
     /// Bus-grant policy shared by every bus in the machine.
     arbitration: Arbitration,
-    /// Whether the deprecated `with_signal_drop_probability` shim ran.
-    shim_signal_drop: bool,
-    /// Whether `with_fault_plan` installed an explicit plan.
-    explicit_fault_plan: bool,
 }
 
 impl MachineConfig {
@@ -252,8 +236,6 @@ impl MachineConfig {
             check_every: 0,
             engine: EngineKind::Multicube,
             arbitration: Arbitration::Fcfs,
-            shim_signal_drop: false,
-            explicit_fault_plan: false,
         })
     }
 
@@ -340,15 +322,9 @@ impl MachineConfig {
 
     /// Installs a fault-injection plan (§3 robustness testing). The default
     /// plan injects nothing.
-    ///
-    /// Mixing this with the deprecated
-    /// [`with_signal_drop_probability`](Self::with_signal_drop_probability)
-    /// shim is rejected by [`validate`](Self::validate) — see the shim's
-    /// documentation for the migration path.
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
-        self.explicit_fault_plan = true;
         self
     }
 
@@ -363,41 +339,6 @@ impl MachineConfig {
     #[must_use]
     pub fn with_watchdog(mut self, watchdog: Watchdog) -> Self {
         self.watchdog = watchdog;
-        self
-    }
-
-    /// Sets the probability that a controller drops its modified-signal
-    /// responsibility (failure injection exercising the §3 robustness
-    /// argument). Must be in `[0, 1)`.
-    ///
-    /// # Migration
-    ///
-    /// The drop knob moved onto [`FaultPlan`] in 0.2.0; replace
-    ///
-    /// ```text
-    /// config.with_signal_drop_probability(p)
-    /// ```
-    ///
-    /// with
-    ///
-    /// ```text
-    /// config.with_fault_plan(FaultPlan::default().with_signal_drop(p))
-    /// ```
-    ///
-    /// (or call [`FaultPlan::with_signal_drop`] on the plan you already
-    /// build). Combining this shim with an explicit
-    /// [`with_fault_plan`](Self::with_fault_plan) call is rejected by
-    /// [`validate`](Self::validate) with
-    /// [`MachineConfigError::ConflictingFaultShim`]: the builder-order
-    /// composition used to silently decide which drop probability won.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `with_fault_plan(FaultPlan::default().with_signal_drop(p))`"
-    )]
-    #[must_use]
-    pub fn with_signal_drop_probability(mut self, p: f64) -> Self {
-        self.faults = self.faults.with_signal_drop(p);
-        self.shim_signal_drop = true;
         self
     }
 
@@ -442,9 +383,6 @@ impl MachineConfig {
             if words == 0 {
                 return Err(MachineConfigError::BadPieceSize);
             }
-        }
-        if self.shim_signal_drop && self.explicit_fault_plan {
-            return Err(MachineConfigError::ConflictingFaultShim);
         }
         self.faults.validate()?;
         self.retry.validate()?;
@@ -542,12 +480,6 @@ impl MachineConfig {
         self.watchdog
     }
 
-    /// Modified-signal drop probability.
-    #[deprecated(since = "0.2.0", note = "use `fault_plan().signal_drop()`")]
-    pub fn signal_drop_probability(&self) -> f64 {
-        self.faults.signal_drop()
-    }
-
     /// Whether the idealized broadcast sharing filter is enabled.
     pub fn broadcast_filter(&self) -> bool {
         self.broadcast_filter
@@ -610,12 +542,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_drop_probability_shim_still_works() {
+    fn signal_drop_reads_back_through_the_fault_plan() {
         let c = MachineConfig::grid(4)
             .unwrap()
-            .with_signal_drop_probability(0.25);
-        assert_eq!(c.signal_drop_probability(), 0.25);
+            .with_fault_plan(FaultPlan::default().with_signal_drop(0.25));
         assert_eq!(c.fault_plan().signal_drop(), 0.25);
         assert!(c.validate().is_ok());
     }
@@ -628,27 +558,6 @@ mod tests {
         assert_eq!(c.engine(), EngineKind::Dragon);
         assert_eq!(EngineKind::Mesi.name(), "mesi");
         assert_eq!(EngineKind::all().len(), 3);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn shim_conflicts_with_explicit_fault_plan() {
-        // Shim after an explicit plan: rejected.
-        let c = MachineConfig::grid(4)
-            .unwrap()
-            .with_fault_plan(FaultPlan::default().with_signal_drop(0.1))
-            .with_signal_drop_probability(0.25);
-        assert_eq!(c.validate(), Err(MachineConfigError::ConflictingFaultShim));
-        // Shim before an explicit plan: equally rejected — order must not
-        // silently pick a winner.
-        let c = MachineConfig::grid(4)
-            .unwrap()
-            .with_signal_drop_probability(0.25)
-            .with_fault_plan(FaultPlan::default());
-        assert_eq!(c.validate(), Err(MachineConfigError::ConflictingFaultShim));
-        assert!(!MachineConfigError::ConflictingFaultShim
-            .to_string()
-            .is_empty());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! a per-line valid bit, so controllers "may simply discard" modified-signal
 //! duties and racing requests bounce off memory and retry. This module turns
 //! that claim into a testable surface. A [`FaultPlan`] describes *which*
-//! adversarial faults to inject and at what rates; a [`FaultInjector`]
+//! adversarial faults to inject and at what rates; a `FaultInjector`
 //! (owned by the machine, driven by its own deterministic RNG stream) makes
 //! the per-event decisions; a [`RetryPolicy`] adds bounded exponential
 //! backoff to the bounce path; and a [`Watchdog`] detects transactions whose
@@ -15,7 +15,7 @@
 //! Supported fault classes:
 //!
 //! - **Dropped modified signals** — the wired-OR poll lies "absent"
-//!   (the original `signal_drop_probability` knob, ported).
+//!   (the paper's "may simply discard" fault).
 //! - **Lost bus operations** — a request occupies its bus but no controller
 //!   acts on it; the originator must retry.
 //! - **Duplicated bus operations** — a request is heard twice; the copy must
@@ -171,8 +171,7 @@ impl Default for FaultPlan {
 
 impl FaultPlan {
     /// Probability that a successful modified-signal poll reports "absent"
-    /// (the paper's "may simply discard" fault, formerly
-    /// `signal_drop_probability`).
+    /// (the paper's "may simply discard" fault).
     #[must_use]
     pub fn with_signal_drop(mut self, p: f64) -> Self {
         self.signal_drop = p;

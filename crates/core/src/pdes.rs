@@ -22,7 +22,7 @@
 //!   one grid-bus transfer ([`GRID_HOP_NS`]).
 //!
 //! Cross-plane traffic models the §4 uncached-remote access pattern as a
-//! four-hop pipeline through per-column [`ColumnCell`]s: a requester
+//! four-hop pipeline through per-column `ColumnCell`s: a requester
 //! column issues over its depth bus to the home plane ([`HOP_NS`]), the
 //! request transits the home plane's row bus to the line's home column
 //! ([`GRID_HOP_NS`]) unless it already landed there, the column's FIFO

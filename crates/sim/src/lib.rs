@@ -49,7 +49,7 @@ pub use pdes::{
     WindowStats,
 };
 pub use pool::{JobId, JobPanic, Pool};
-pub use queue::{EventQueue, HeapQueue, QueueImpl};
+pub use queue::{EventQueue, QueueImpl};
 pub use rng::{split_seed, stream_id, DeterministicRng};
 pub use time::{SimDuration, SimTime};
 pub use wheel::TimingWheel;

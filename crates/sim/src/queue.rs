@@ -2,14 +2,10 @@
 //!
 //! [`EventQueue`] is the public face: a stable discrete-event scheduler
 //! with an embedded monotonic clock. Since the timing-wheel rewrite it is
-//! backed by [`TimingWheel`](crate::wheel::TimingWheel) — O(1)
-//! schedule/pop with structural same-instant FIFO — while the original
-//! `BinaryHeap` implementation survives as [`HeapQueue`], the
-//! differential-testing oracle behind the shared [`QueueImpl`] seam
-//! (see `crates/sim/tests/queue_differential.rs`).
-
-use core::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! backed by [`TimingWheel`] — O(1) schedule/pop with structural
+//! same-instant FIFO — while the original `BinaryHeap` implementation
+//! survives as the test-only `HeapQueue` differential oracle behind the
+//! shared [`QueueImpl`] seam (see `crates/sim/tests/queue_differential.rs`).
 
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimingWheel;
@@ -38,103 +34,6 @@ pub trait QueueImpl<E> {
     /// Whether no events are pending.
     fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// A future event: its due time, an insertion sequence number for stable
-/// FIFO ordering among simultaneous events, and the payload.
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    // Reversed so the *earliest* entry is the max of the BinaryHeap.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The original `BinaryHeap` event queue, kept as the oracle for
-/// differential testing of the wheel. O(log n) per operation; FIFO among
-/// simultaneous events via a per-entry sequence number.
-#[derive(Default)]
-pub struct HeapQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    now: SimTime,
-    seq: u64,
-}
-
-impl<E> HeapQueue<E> {
-    /// Creates an empty heap queue with the clock at [`SimTime::ZERO`].
-    pub fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            now: SimTime::ZERO,
-            seq: 0,
-        }
-    }
-}
-
-impl<E> QueueImpl<E> for HeapQueue<E> {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn schedule(&mut self, at: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { at, seq, event });
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        // The heap has no structural guarantee against delivering into the
-        // past (unlike the wheel), so the invariant is checked for real —
-        // this is the oracle, correctness beats cycles here.
-        assert!(
-            entry.at >= self.now,
-            "heap delivered {} into the past (now {})",
-            entry.at,
-            self.now
-        );
-        self.now = entry.at;
-        Some((entry.at, entry.event))
-    }
-
-    fn pop_batch(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
-        let (at, event) = self.pop()?;
-        out.push(event);
-        while self.heap.peek().map(|e| e.at) == Some(at) {
-            let entry = self.heap.pop().expect("peeked entry");
-            out.push(entry.event);
-        }
-        Some(at)
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
     }
 }
 
@@ -419,30 +318,5 @@ mod tests {
             seen,
             vec![(0, 0), (10, 1), (20, 2), (30, 3), (40, 4), (50, 5)]
         );
-    }
-
-    #[test]
-    fn heap_oracle_matches_event_queue_semantics() {
-        let mut q: HeapQueue<u32> = HeapQueue::new();
-        q.schedule(SimTime::from_nanos(5), 1);
-        q.schedule(SimTime::from_nanos(5), 2);
-        q.schedule(SimTime::from_nanos(3), 0);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(3)));
-        let got: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(got, [0, 1, 2]);
-        assert_eq!(QueueImpl::<u32>::now(&q), SimTime::from_nanos(5));
-    }
-
-    #[test]
-    fn heap_oracle_pop_batch_drains_one_instant() {
-        let mut q: HeapQueue<u32> = HeapQueue::new();
-        for i in 0..3 {
-            q.schedule(SimTime::from_nanos(4), i);
-        }
-        q.schedule(SimTime::from_nanos(6), 9);
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(&mut out), Some(SimTime::from_nanos(4)));
-        assert_eq!(out, [0, 1, 2]);
-        assert_eq!(q.len(), 1);
     }
 }

@@ -3,14 +3,14 @@
 //!
 //! Uses the mean-value model (instant) to sweep grid sizes and request
 //! rates, cross-checks one operating point against the discrete-event
-//! machine, and contrasts with the single-bus multi.
+//! machine, and contrasts with the single-bus multi (the same processors
+//! on one snooping MESI bus).
 //!
 //! ```text
 //! cargo run --release --example capacity_planning
 //! ```
 
-use multicube_suite::baseline::SingleBusMulti;
-use multicube_suite::machine::{Machine, MachineConfig, SyntheticSpec};
+use multicube_suite::machine::{EngineKind, Machine, MachineConfig, SyntheticSpec};
 use multicube_suite::mva::{solve, ModelParams};
 
 fn main() {
@@ -57,11 +57,13 @@ fn main() {
 
     // And what a single bus would do with the same processors.
     let procs = check_n * check_n;
-    let mut multi = SingleBusMulti::new(procs, 11);
-    let multi_report = multi.run_synthetic(&spec, 60);
+    let config = MachineConfig::grid(check_n)
+        .unwrap()
+        .with_engine(EngineKind::Mesi);
+    let multi_report = Machine::new(config, 11).unwrap().run_synthetic(&spec, 60);
     println!(
         "A single-bus multi with {procs} processors at the same rate: efficiency {:.4} (bus {:.0}% busy)",
         multi_report.efficiency,
-        multi_report.bus_utilization * 100.0
+        multi_report.buses[0].utilization * 100.0
     );
 }

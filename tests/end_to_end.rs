@@ -1,8 +1,7 @@
 //! Cross-crate integration tests: the machine, synchronization layer,
-//! workloads, analytical model and baseline working together.
+//! workloads, analytical model and single-bus engines working together.
 
-use multicube_suite::baseline::SingleBusMulti;
-use multicube_suite::machine::{Machine, MachineConfig, Request, SyntheticSpec};
+use multicube_suite::machine::{EngineKind, Machine, MachineConfig, Request, SyntheticSpec};
 use multicube_suite::mem::LineAddr;
 use multicube_suite::mva::{solve, ModelParams};
 use multicube_suite::sync::{Barrier, LockExperiment, QueueLock, SpinLock};
@@ -76,10 +75,13 @@ fn locks_and_barriers_compose_on_one_machine_family() {
 #[test]
 fn multicube_beats_single_bus_at_scale() {
     let spec = SyntheticSpec::default().with_request_rate_per_ms(10.0);
-    let mut multi = SingleBusMulti::new(144, 9);
-    let multi_eff = multi.run_synthetic(&spec, 30).efficiency;
-    let mut cube = Machine::new(MachineConfig::grid(12).unwrap(), 9).unwrap();
-    let cube_eff = cube.run_synthetic(&spec, 30).efficiency;
+    let run = |engine| {
+        let config = MachineConfig::grid(12).unwrap().with_engine(engine);
+        let mut m = Machine::new(config, 9).unwrap();
+        m.run_synthetic(&spec, 30).efficiency
+    };
+    let multi_eff = run(EngineKind::Mesi);
+    let cube_eff = run(EngineKind::Multicube);
     assert!(
         cube_eff > multi_eff + 0.2,
         "144 processors: cube {cube_eff:.3} vs single bus {multi_eff:.3}"
