@@ -12,7 +12,8 @@
 //! 5. **MLT consistency** — every column's replicas agree and contain
 //!    exactly the lines held modified within that column.
 //! 6. **Registry consistency** — the machine's owner registry matches the
-//!    caches (internal sanity for the workload generator).
+//!    caches, and its per-line sharer count equals the number of shared
+//!    copies (internal sanity; the row-purge filter trusts that count).
 //! 7. **Escalation hygiene** — no watchdog escalation survives quiescence;
 //!    an escalated transaction that never finished means the fault-free
 //!    retry failed to make progress.
@@ -67,9 +68,13 @@ pub trait CoherenceView {
     /// level is not modelled.
     fn l1_lines(&self, node: NodeId) -> Vec<LineAddr>;
 
-    /// The contents of `node`'s modified-line-table replica. Order is not
+    /// The contents of `node`'s modified-line-table replica (the simulator
+    /// answers with the table of `node`'s column). Order is not
     /// significant (compared as sets).
     fn mlt_lines(&self, node: NodeId) -> Vec<LineAddr>;
+
+    /// The registry's count of caches holding `line` shared.
+    fn registry_sharers(&self, line: LineAddr) -> u32;
 
     /// The home column of `line`.
     fn home_column(&self, line: LineAddr) -> u32;
@@ -124,7 +129,14 @@ impl CoherenceView for Machine {
     }
 
     fn mlt_lines(&self, node: NodeId) -> Vec<LineAddr> {
-        self.controller(node).mlt.iter().copied().collect()
+        self.mlt(node.index() % Machine::side(self))
+            .iter()
+            .copied()
+            .collect()
+    }
+
+    fn registry_sharers(&self, line: LineAddr) -> u32 {
+        self.sharer_count(line)
     }
 
     fn home_column(&self, line: LineAddr) -> u32 {
@@ -345,6 +357,26 @@ fn known_lines(v: &dyn CoherenceView, g: &Gathered) -> Vec<LineAddr> {
     lines
 }
 
+/// The registry's sharer count of every line in `lines` (address order)
+/// equals the number of shared copies the caches hold.
+fn check_sharer_counts(
+    v: &dyn CoherenceView,
+    g: &Gathered,
+    lines: &[LineAddr],
+) -> Result<(), CoherenceViolation> {
+    for &line in lines {
+        let copies = g.sharers.get(&line).map_or(0, Vec::len);
+        let counted = v.registry_sharers(line);
+        if counted as usize != copies {
+            return Err(CoherenceViolation::RegistryMismatch {
+                line,
+                detail: format!("registry counts {counted} sharers, caches hold {copies}"),
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Registry sanity, both directions: every cache owner is registered, and
 /// every registry entry is backed by a modified copy.
 fn check_registry(v: &dyn CoherenceView, g: &Gathered) -> Result<(), CoherenceViolation> {
@@ -423,7 +455,8 @@ pub fn check(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
     }
 
     // 3+4. Valid bit and value integrity over every line any structure knows.
-    for line in known_lines(v, &g) {
+    let lines = known_lines(v, &g);
+    for &line in &lines {
         let memory_valid = v.memory_valid(line);
         let has_owner = g.owners.contains_key(&line);
         if memory_valid == has_owner {
@@ -490,6 +523,7 @@ pub fn check(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
 
     // 7. Registry sanity.
     check_registry(v, &g)?;
+    check_sharer_counts(v, &g, &lines)?;
 
     // 8. No leaked watchdog escalations.
     if let Some(txn) = v.escalated() {
@@ -501,6 +535,11 @@ pub fn check(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
 
 /// MLT replica agreement: within each column every node's replica holds
 /// the same set of lines.
+///
+/// For [`Machine`] the check is structural: it keeps one table per column
+/// and every node of the column reports it, so agreement holds by
+/// construction. For the model checker's states it is semantic, since
+/// their replicas are derived from ownership node by node.
 fn check_mlt_replicas(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
     let n = v.side();
     for col in 0..n {
@@ -709,7 +748,8 @@ fn check_arena(v: &dyn CoherenceView, update_based: bool) -> Result<(), Coherenc
     }
 
     // Valid bit and value integrity over every line any structure knows.
-    for line in known_lines(v, &g) {
+    let lines = known_lines(v, &g);
+    for &line in &lines {
         let memory_valid = v.memory_valid(line);
         let dirty = g.owners.contains_key(&line) || sm.contains_key(&line);
         if memory_valid == dirty {
@@ -770,6 +810,7 @@ fn check_arena(v: &dyn CoherenceView, update_based: bool) -> Result<(), Coherenc
 
     // Registry sanity (both directions).
     check_registry(v, &g)?;
+    check_sharer_counts(v, &g, &lines)?;
 
     // No leaked watchdog escalations.
     if let Some(txn) = v.escalated() {

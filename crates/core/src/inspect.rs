@@ -123,8 +123,8 @@ pub fn dump(m: &Machine) -> String {
 
     let _ = writeln!(out, "modified line tables:");
     for col in 0..n {
-        let node = NodeId::new(col); // row 0 replica is representative
-        let entries = m.controller(node).mlt.len();
+        // One table per column stands for all of the column's replicas.
+        let entries = m.mlt(col).len();
         let _ = writeln!(out, "  col{col}: {entries} entries");
     }
 

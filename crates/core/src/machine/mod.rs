@@ -15,9 +15,9 @@ mod synthetic;
 mod tas;
 mod writeback;
 
-use std::collections::VecDeque;
+use std::{collections::VecDeque, iter::StepBy, ops::Range};
 
-use multicube_mem::{LineAddr, LineGeometry, LineMap, LineVersion, MemoryBank};
+use multicube_mem::{LineAddr, LineGeometry, LineMap, LineVersion, MemoryBank, ModifiedLineTable};
 use multicube_sim::{DeterministicRng, EventQueue, SimDuration, SimTime};
 use multicube_topology::NodeId;
 
@@ -185,6 +185,9 @@ pub struct Machine {
     pub(crate) controllers: Vec<Controller>,
     /// One memory bank per column.
     pub(crate) memories: Vec<MemoryBank>,
+    /// One modified line table per column, standing for its `n` lockstep
+    /// replicas (stale views are a [`FaultInjector`] overlay).
+    pub(crate) mlts: Vec<ModifiedLineTable>,
     pub(crate) rng: DeterministicRng,
     txn_seq: u64,
     version_seq: u64,
@@ -245,11 +248,11 @@ impl Machine {
                     grid.col_of(node),
                     config.snoop_cache(),
                     config.processor_cache(),
-                    config.mlt_capacity(),
                 )
             })
             .collect();
         let memories = (0..n).map(|_| MemoryBank::new()).collect();
+        let mlts = vec![ModifiedLineTable::new(config.mlt_capacity()); n as usize];
         let faults = FaultInjector::new(
             *config.fault_plan(),
             config.retry_policy(),
@@ -264,6 +267,7 @@ impl Machine {
             buses,
             controllers,
             memories,
+            mlts,
             rng: DeterministicRng::seed(seed),
             txn_seq: 0,
             version_seq: 0,
@@ -390,6 +394,11 @@ impl Machine {
     /// The memory bank of column `col`.
     pub fn memory(&self, col: u32) -> &MemoryBank {
         &self.memories[col as usize]
+    }
+
+    /// The modified line table every controller of column `col` replicates.
+    pub fn mlt(&self, col: u32) -> &ModifiedLineTable {
+        &self.mlts[col as usize]
     }
 
     /// The bus at `slot` (`0..n` are row buses, `n..2n` column buses).
@@ -758,16 +767,16 @@ impl Machine {
         self.config.topology().node(row, col)
     }
 
-    /// Node indices on row `row`.
-    pub(crate) fn row_nodes(&self, row: u32) -> impl Iterator<Item = usize> + '_ {
-        let n = self.n;
-        (0..n).map(move |c| (row * n + c) as usize)
+    /// Node indices on row `row` (borrow-free: handlers mutate while walking).
+    pub(crate) fn row_nodes(&self, row: u32) -> StepBy<Range<usize>> {
+        let n = self.n as usize;
+        (row as usize * n..(row as usize + 1) * n).step_by(1)
     }
 
-    /// Node indices on column `col`.
-    pub(crate) fn col_nodes(&self, col: u32) -> impl Iterator<Item = usize> + '_ {
-        let n = self.n;
-        (0..n).map(move |r| (r * n + col) as usize)
+    /// Node indices on column `col` (borrow-free).
+    pub(crate) fn col_nodes(&self, col: u32) -> StepBy<Range<usize>> {
+        let n = self.n as usize;
+        (col as usize..n * n).step_by(n)
     }
 
     /// The row of the transaction originator.
@@ -836,9 +845,9 @@ impl Machine {
     }
 
     fn sharers_decr(&mut self, line: LineAddr) {
-        if let Some(e) = self.lines.get_mut(&line) {
-            e.sharers = e.sharers.saturating_sub(1);
-        }
+        let e = self.line_entry(line);
+        debug_assert!(e.sharers > 0, "sharer count underflow for {line:?}");
+        e.sharers -= 1;
     }
 
     /// Number of caches holding `line` shared.
@@ -1235,11 +1244,11 @@ impl Machine {
     /// outstanding processor requests issued locally").
     pub(crate) fn poison_readers(
         &mut self,
-        node_indices: &[usize],
+        node_indices: StepBy<Range<usize>>,
         line: LineAddr,
         except: NodeId,
     ) {
-        for &idx in node_indices {
+        for idx in node_indices {
             let node = self.controllers[idx].node();
             if node == except {
                 continue;

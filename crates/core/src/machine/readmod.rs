@@ -175,9 +175,8 @@ impl Machine {
         let fanout_needed = !self.config.broadcast_filter()
             || self.sharer_count(op.line) > 0
             || self.line_has_inflight_interest(op.line, op.originator);
-        let members: Vec<usize> = self.col_nodes(col).collect();
-        self.poison_readers(&members, op.line, op.originator);
-        for idx in members.clone() {
+        self.poison_readers(self.col_nodes(col), op.line, op.originator);
+        for idx in self.col_nodes(col) {
             let node = self.controllers[idx].node();
             let r = self.controllers[idx].row();
             if node == op.originator {
@@ -220,9 +219,8 @@ impl Machine {
         debug_assert_eq!(row, self.origin_row(&op));
         self.verify_carried(&op);
         let o_col = self.origin_col(&op);
-        let members: Vec<usize> = self.row_nodes(row).collect();
-        self.poison_readers(&members, op.line, op.originator);
-        for idx in members.clone() {
+        self.poison_readers(self.row_nodes(row), op.line, op.originator);
+        for idx in self.row_nodes(row) {
             let node = self.controllers[idx].node();
             if node == op.originator {
                 let ins = BusOp::new(OpKind::ReadModColInsert, op.line, op.originator, op.txn)
@@ -243,12 +241,28 @@ impl Machine {
         }
     }
 
-    /// `READMOD (ROW, PURGE)`: invalidate shared copies along one row.
+    /// `READMOD (ROW, PURGE)`: invalidate shared copies along one row. The
+    /// snoop walk is skipped when no cache holds the line shared and no
+    /// other node has it outstanding; the op still occupied the bus.
     pub(crate) fn on_readmod_row_purge(&mut self, slot: usize, op: BusOp) {
         let row = self.slot_row(slot);
-        let members: Vec<usize> = self.row_nodes(row).collect();
-        self.poison_readers(&members, op.line, op.originator);
-        for idx in members.clone() {
+        if self.sharer_count(op.line) == 0
+            && !self.line_has_inflight_interest(op.line, op.originator)
+        {
+            debug_assert!(
+                self.row_nodes(row).all(|idx| {
+                    let c = &self.controllers[idx];
+                    c.node() == op.originator
+                        || (c.mode_of(&op.line) != Some(LineMode::Shared)
+                            && c.outstanding().is_none_or(|o| o.line != op.line))
+                }),
+                "row purge filter skipped a member with state for {:?}",
+                op.line
+            );
+            return;
+        }
+        self.poison_readers(self.row_nodes(row), op.line, op.originator);
+        for idx in self.row_nodes(row) {
             if self.controllers[idx].node() == op.originator {
                 continue;
             }

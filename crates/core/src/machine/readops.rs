@@ -1,5 +1,5 @@
 //! READ transaction procedures (Appendix A) plus the shared helpers for
-//! modified-signal polling, MLT replica maintenance and snarfing.
+//! modified-signal polling, MLT maintenance and snarfing.
 
 use multicube_mem::LineAddr;
 
@@ -30,21 +30,21 @@ impl Machine {
         let now = self.now();
         let mut found: Option<u32> = None;
         let perturbed = self.faults.plan().is_active();
-        for idx in self.row_nodes(row).collect::<Vec<_>>() {
+        for (col, idx) in self.row_nodes(row).enumerate() {
             if self.faults.in_blackout(idx, txn, now) {
                 continue;
             }
             let present = match self.faults.stale_presence(txn, idx, line, now) {
                 Some(stale) => stale,
-                None => self.controllers[idx].mlt_contains(line),
+                None => self.mlts[col].contains(line),
             };
             if present {
                 debug_assert!(
                     found.is_none() || perturbed,
-                    "two columns claim {line:?} modified — MLT replicas diverged"
+                    "two columns claim {line:?} modified"
                 );
                 if found.is_none() {
-                    found = Some(self.controllers[idx].col());
+                    found = Some(col as u32);
                 }
                 if !cfg!(debug_assertions) && !perturbed {
                     break;
@@ -88,18 +88,10 @@ impl Machine {
         true
     }
 
-    /// Removes the line from every MLT replica of a column; returns whether
-    /// the entry was present ("remove failed" drives race retries).
+    /// Removes the line from a column's MLT; returns whether the entry was
+    /// present ("remove failed" drives race retries).
     pub(crate) fn mlt_remove_all(&mut self, col: u32, line: &LineAddr) -> bool {
-        let mut removed = None;
-        for idx in self.col_nodes(col).collect::<Vec<_>>() {
-            let r = self.controllers[idx].mlt.remove(line);
-            match removed {
-                None => removed = Some(r),
-                Some(prev) => debug_assert_eq!(prev, r, "MLT replicas diverged"),
-            }
-        }
-        let removed = removed.unwrap_or(false);
+        let removed = self.mlts[col as usize].remove(line);
         if removed {
             let slot = self.col_slot(col);
             self.trace_point(TracePoint::MltRemove, Some(slot), *line, None, None);
@@ -129,17 +121,12 @@ impl Machine {
         self.trace_point(TracePoint::MltDelay, Some(slot), line, Some(node), None);
     }
 
-    /// Inserts the line into every MLT replica of a column, handling
-    /// overflow: the overflow victim's holder writes it back and marks it
-    /// shared (the Appendix-A `table overflow` path).
+    /// Inserts the line into a column's MLT, handling overflow: the
+    /// overflow victim's holder writes it back and marks it shared (the
+    /// Appendix-A `table overflow` path).
     pub(crate) fn mlt_insert_all(&mut self, col: u32, op: &BusOp) {
         use multicube_mem::MltInsert;
-        let mut overflow: Option<LineAddr> = None;
-        for idx in self.col_nodes(col).collect::<Vec<_>>() {
-            if let MltInsert::Overflow(v) = self.controllers[idx].mlt.insert(op.line) {
-                overflow = Some(v);
-            }
-        }
+        let inserted = self.mlts[col as usize].insert(op.line);
         let slot = self.col_slot(col);
         self.trace_point(
             TracePoint::MltInsert,
@@ -149,7 +136,9 @@ impl Machine {
             Some(op.txn),
         );
         self.maybe_delay_replica(col, op.line, false);
-        let Some(victim) = overflow else { return };
+        let MltInsert::Overflow(victim) = inserted else {
+            return;
+        };
         self.metrics.mlt_overflows.incr();
         let holder = self
             .col_nodes(col)
@@ -251,8 +240,7 @@ impl Machine {
             return;
         }
         let now = self.now();
-        let nodes: Vec<usize> = self.row_nodes(self.slot_row(slot)).collect();
-        for idx in nodes {
+        for idx in self.row_nodes(self.slot_row(slot)) {
             let node = self.controllers[idx].node();
             if node == op.originator {
                 continue;

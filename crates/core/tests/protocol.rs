@@ -1,11 +1,14 @@
 //! Protocol-level integration tests: transaction flows, bus-operation
 //! counts (the §6 cost claims), races, robustness, and determinism.
 
+use std::collections::HashSet;
+
 use multicube::{
-    FaultPlan, LatencyMode, Machine, MachineConfig, Request, RequestKind, SyntheticSpec,
+    FaultPlan, LatencyMode, Machine, MachineConfig, OpKind, Request, RequestKind, SyntheticSpec,
+    TracePoint, TraceSink,
 };
 use multicube_mem::LineAddr;
-use multicube_topology::NodeId;
+use multicube_topology::{BusId, NodeId};
 
 fn machine(n: u32) -> Machine {
     Machine::new(MachineConfig::grid(n).unwrap(), 99).unwrap()
@@ -679,4 +682,161 @@ fn disabling_l1_routes_everything_to_the_snooping_cache() {
     // Snooping-cache hit latency, not L1 latency.
     assert_eq!(second.latency.as_nanos(), 750);
     assert_eq!(m.metrics().l1_hits.get(), 0);
+}
+
+// ---------------------------------------------------------------------
+// Row-purge filter and the per-column modified line table
+// ---------------------------------------------------------------------
+
+/// Completion instants of `kind` on `bus` for `line` in a ring trace.
+fn completions_of(
+    m: &Machine,
+    kind: OpKind,
+    bus: Option<BusId>,
+    line: LineAddr,
+) -> Vec<multicube_sim::SimTime> {
+    m.trace_events()
+        .iter()
+        .filter(|e| e.point == TracePoint::OpComplete && e.kind == Some(kind) && e.line == line)
+        .filter(|e| bus.is_none() || e.bus == bus)
+        .map(|e| e.at)
+        .collect()
+}
+
+#[test]
+fn upgrade_purges_sharers_on_every_row() {
+    let mut m = machine(4);
+    let line = line_with_home(4, 1, 3);
+    // One sharer on each row, none of them on the home column.
+    let sharers = [0u32, 6, 11, 12].map(NodeId::new);
+    for s in sharers {
+        m.submit(s, Request::read(line)).unwrap();
+        m.run_to_quiescence();
+    }
+    m.check_coherence().unwrap();
+    // The row-2 sharer upgrades its shared copy.
+    let writer = sharers[2];
+    m.submit(writer, Request::write(line)).unwrap();
+    m.run_to_quiescence();
+    for s in sharers.iter().filter(|&&s| s != writer) {
+        assert_eq!(m.controller(*s).mode_of(&line), None, "{s} not purged");
+    }
+    assert_eq!(
+        m.controller(writer).mode_of(&line),
+        Some(multicube::LineMode::Modified)
+    );
+    assert_eq!(m.metrics().invalidations.get(), sharers.len() as u64 - 1);
+    // The purge broadcast still occupies every row: request + n-1 purges
+    // + the data-carrying reply purge.
+    assert_eq!(m.metrics().write_unmodified.row_ops.mean(), 5.0);
+    m.check_coherence().unwrap();
+}
+
+#[test]
+fn read_outstanding_on_a_sharer_free_row_is_poisoned_and_retried() {
+    let n = 4;
+    let line = line_with_home(n, 1, 2);
+    let writer = NodeId::new(0); // row 0, off the home column
+    let reader = NodeId::new(2 * n + 2); // row 2, off the home column
+    let row2 = Some(BusId::row(2));
+    // Locate the instant the writer's purge lands on row 2 when the
+    // machine holds no copy of the line anywhere.
+    let purge_at = {
+        let mut m = machine(n);
+        m.set_trace_sink(TraceSink::ring(1 << 12));
+        m.submit(writer, Request::write(line)).unwrap();
+        m.run_to_quiescence();
+        let at = completions_of(&m, OpKind::ReadModRowPurge, row2, line);
+        assert_eq!(at.len(), 1, "one purge crosses row 2");
+        at[0]
+    };
+    // Same write, plus a read issued on row 2 just before the purge
+    // completes: it queues behind the purge, so it is outstanding when
+    // the purge lands although no cache holds the line shared.
+    let mut m = machine(n);
+    m.set_trace_sink(TraceSink::ring(1 << 12));
+    m.submit(writer, Request::write(line)).unwrap();
+    let just_before = multicube_sim::SimTime::from_nanos(purge_at.as_nanos() - 1);
+    m.submit_at(reader, Request::read(line), just_before);
+    let done = m.run_to_quiescence();
+    assert_eq!(done.len(), 2, "both transactions complete");
+    assert_eq!(
+        completions_of(&m, OpKind::ReadModRowPurge, row2, line),
+        vec![purge_at],
+        "the reader does not move the purge"
+    );
+    let read_txn = done.iter().find(|c| c.node == reader).unwrap().txn;
+    let events = m.trace_events();
+    let poisoned = events
+        .iter()
+        .any(|e| e.point == TracePoint::Poison && e.txn == Some(read_txn) && e.at == purge_at);
+    assert!(poisoned, "the row purge poisons the outstanding read");
+    let retried = events
+        .iter()
+        .any(|e| e.point == TracePoint::Retry && e.txn == Some(read_txn));
+    assert!(retried, "the poisoned read is retried");
+    assert_eq!(
+        m.controller(reader).mode_of(&line),
+        Some(multicube::LineMode::Shared)
+    );
+    m.check_coherence().unwrap();
+}
+
+#[test]
+fn column_mlt_matches_modified_lines_after_write_heavy_run() {
+    let mut m = machine(4);
+    let spec = SyntheticSpec::default()
+        .with_request_rate_per_ms(20.0)
+        .with_p_write(0.8)
+        .with_shared_lines(64);
+    m.run_synthetic(&spec, 60);
+    m.run_to_quiescence();
+    m.check_coherence().unwrap();
+    let views = multicube::inspect::line_views(&m);
+    let mut total = 0;
+    for col in 0..4 {
+        let table: HashSet<LineAddr> = m.mlt(col).iter().copied().collect();
+        let held: HashSet<LineAddr> = views
+            .iter()
+            .filter(|v| v.owner.is_some_and(|o| o.index() % 4 == col))
+            .map(|v| v.line)
+            .collect();
+        assert_eq!(table, held, "column {col}");
+        total += table.len();
+    }
+    assert!(total > 0, "a write-heavy run leaves modified lines");
+}
+
+#[test]
+fn each_mlt_overflow_writes_back_exactly_one_victim() {
+    let config = MachineConfig::grid(4).unwrap().with_mlt_capacity(2);
+    let mut m = Machine::new(config, 5).unwrap();
+    m.set_trace_sink(TraceSink::ring(1 << 12));
+    // Column-0 writers take five lines, one at a time, homed on other
+    // columns and on their own: the table holds two.
+    let writers = [0u32, 4, 8, 12, 0].map(NodeId::new);
+    let lines: Vec<LineAddr> = (0..5u32)
+        .map(|k| line_with_home(4, k % 4, u64::from(k) + 1))
+        .collect();
+    for (w, &line) in writers.iter().zip(&lines) {
+        m.submit(*w, Request::write(line)).unwrap();
+        m.run_to_quiescence();
+    }
+    m.check_coherence().unwrap();
+    assert_eq!(m.metrics().mlt_overflows.get(), 3);
+    // FIFO: the three oldest lines were forced back to shared, each
+    // written back to memory once; the two newest are still modified.
+    for (i, &line) in lines.iter().enumerate() {
+        let updates = completions_of(&m, OpKind::WritebackColUpdateMemory, None, line);
+        let expected = if i < 3 { 1 } else { 0 };
+        assert_eq!(updates.len(), expected, "memory updates of line {i}");
+        let mode = if i < 3 {
+            multicube::LineMode::Shared
+        } else {
+            multicube::LineMode::Modified
+        };
+        assert_eq!(m.controller(writers[i]).mode_of(&line), Some(mode));
+    }
+    let table: Vec<LineAddr> = m.mlt(0).iter().copied().collect();
+    assert_eq!(table, lines[3..].to_vec());
 }

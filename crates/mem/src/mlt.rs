@@ -30,11 +30,12 @@ pub enum MltInsert {
 /// the replacement policy open, and FIFO matches its "hardware queues"
 /// simplicity argument. Every controller in a column holds an identical
 /// replica; the protocol keeps replicas in sync by snooping column-bus
-/// INSERT/REMOVE operations.
+/// INSERT/REMOVE operations, so a simulator may keep one table per column
+/// to stand for all of them.
 ///
 /// Membership ([`contains`](Self::contains)) and
-/// [`remove`](Self::remove) — the per-bus-operation hot path, executed by
-/// every replica in a column — are O(1) through a hash index; the FIFO
+/// [`remove`](Self::remove) — the per-bus-operation hot path — are O(1)
+/// through a hash index; the FIFO
 /// arrival order needed for overflow eviction lives in a queue of
 /// stamp-tagged entries with *lazy deletion*: `remove` only drops the
 /// index entry, and the dead queue slot is skipped at eviction time (and

@@ -292,6 +292,14 @@ impl CoherenceView for StateView<'_> {
             .collect()
     }
 
+    fn registry_sharers(&self, line: LineAddr) -> u32 {
+        self.line(line)
+            .mode
+            .iter()
+            .filter(|&&m| m == Mode::S)
+            .count() as u32
+    }
+
     fn home_column(&self, line: LineAddr) -> u32 {
         (line.index() % SIDE as u64) as u32
     }
