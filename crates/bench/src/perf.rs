@@ -27,8 +27,11 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use multicube::{FaultPlan, Machine, MachineConfig, Request, SyntheticSpec};
+use multicube::{
+    check_engine, EngineKind, FaultPlan, Machine, MachineConfig, Request, SyntheticSpec,
+};
 use multicube_mem::{CacheGeometry, LineAddr, SetAssocCache};
+use multicube_model::{check_model, ModelConfig, State, StateView};
 use multicube_sim::pool::Pool;
 use multicube_sim::{DeterministicRng, EventQueue};
 use multicube_topology::NodeId;
@@ -338,6 +341,57 @@ fn kernel_cube_pdes_parallel(_quick: bool) -> u64 {
     report.events_delivered
 }
 
+/// Model states one `coherence_check` pass judges: the first states, in
+/// breadth-first order, of the 2-line, 3-transaction Multicube model.
+const COHERENCE_MODEL_STATES: usize = 1_024;
+
+/// What `coherence_check` judges: a quiescent 16x16 machine after the
+/// closed-loop Figure-2 workload, and a batch of 2x2 model states.
+struct CheckFixture {
+    machine: Machine,
+    model: ModelConfig,
+    states: Vec<State>,
+}
+
+impl CheckFixture {
+    fn new() -> Self {
+        let mut machine = Machine::new(MachineConfig::grid(16).unwrap(), 0xC4EC).unwrap();
+        let spec = SyntheticSpec::default().with_request_rate_per_ms(10.0);
+        machine.run_synthetic(&spec, 20);
+        let model = ModelConfig::new(EngineKind::Multicube, 2, 3, 0);
+        let mut states = check_model(&model).states;
+        assert!(
+            states.len() >= COHERENCE_MODEL_STATES,
+            "model batch is complete"
+        );
+        states.truncate(COHERENCE_MODEL_STATES);
+        CheckFixture {
+            machine,
+            model,
+            states,
+        }
+    }
+}
+
+/// The `coherence_check` kernel: the quiescent invariant checker alone,
+/// on the two shapes the benchmark workloads feed it — one large machine
+/// end state (as `sweep` and `serve` check) and many tiny model states
+/// (as `verify` checks). The fixture is built on the first (warm-up)
+/// pass and reused, so timed passes measure only the checks. Units are
+/// checks; every one must pass.
+fn kernel_coherence_check(fixture: &mut Option<CheckFixture>) -> u64 {
+    let f = fixture.get_or_insert_with(CheckFixture::new);
+    check_engine(EngineKind::Multicube, &f.machine).expect("machine end state is coherent");
+    for state in &f.states {
+        let view = StateView {
+            cfg: &f.model,
+            state,
+        };
+        check_engine(EngineKind::Multicube, &view).expect("model state is coherent");
+    }
+    1 + f.states.len() as u64
+}
+
 /// One kernel whose body panicked: the harness reports it and keeps the
 /// other kernels' numbers instead of aborting the whole report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -409,6 +463,16 @@ pub fn run_all(cfg: &PerfConfig) -> (Vec<KernelResult>, Vec<KernelFailure>) {
             "10k insert+lookup pairs on a 256-set 4-way cache over a 2048-line footprint",
             CACHE_CHURN_OPS,
             Box::new(move || kernel_cache_churn(quick)),
+        ),
+        (
+            "coherence_check",
+            "quiescent invariant check of one 16x16 synthetic end state and 1024 \
+             2x2 Multicube model states; units are checks",
+            1 + COHERENCE_MODEL_STATES as u64,
+            {
+                let mut fixture = None;
+                Box::new(move || kernel_coherence_check(&mut fixture))
+            },
         ),
     ];
     let names: Vec<&'static str> = kernels.iter().map(|(name, _, _, _)| *name).collect();
@@ -623,8 +687,8 @@ pub fn render_json(
 }
 
 /// Validates that `text` looks like a report this harness wrote: balanced
-/// JSON brackets, the schema marker, and at least the three core kernels
-/// with nonzero medians.
+/// JSON brackets, the schema marker, and every kernel [`run_all`] runs
+/// with a nonzero median.
 ///
 /// # Errors
 ///
@@ -669,6 +733,7 @@ pub fn validate_report(text: &str) -> Result<(), String> {
         "cube_pdes_events",
         "cube_pdes_events_parallel",
         "cache_churn",
+        "coherence_check",
     ] {
         match medians.iter().find(|(n, _)| n == required) {
             None => return Err(format!("missing kernel {required}")),
@@ -743,15 +808,15 @@ mod tests {
         };
         let (results, failures) = run_all(&cfg);
         assert!(failures.is_empty(), "{failures:?}");
-        assert_eq!(results.len(), 7);
+        assert_eq!(results.len(), 8);
         let json = render_json(&cfg, &results, None);
         validate_report(&json).unwrap();
         let medians = extract_kernel_medians(&json);
-        assert_eq!(medians.len(), 7);
+        assert_eq!(medians.len(), 8);
         assert_eq!(medians[0].0, "machine_1k_transactions");
         assert_eq!(medians[0].1, results[0].median_ns);
         let stats = extract_kernel_stats(&json);
-        assert_eq!(stats.len(), 7);
+        assert_eq!(stats.len(), 8);
         // The guard kernels run their full workloads even in quick mode,
         // so CI guard comparisons are like-for-like.
         assert_eq!(stats[0].work_units, 1_000);

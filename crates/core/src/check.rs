@@ -9,8 +9,10 @@
 //!    holds the line modified.
 //! 4. **Value integrity** — the modified copy (or memory, if unmodified)
 //!    holds the latest committed write; shared copies hold it too.
-//! 5. **MLT consistency** — every column's replicas agree and contain
-//!    exactly the lines held modified within that column.
+//! 5. **MLT consistency** — every column's table contains exactly the
+//!    lines held modified within that column. The table stands for the
+//!    column's `n` lockstep replicas, so replica agreement is not a
+//!    separate check: both implementors answer from one table per column.
 //! 6. **Registry consistency** — the machine's owner registry matches the
 //!    caches, and its per-line sharer count equals the number of shared
 //!    copies (internal sanity; the row-purge filter trusts that count).
@@ -31,19 +33,37 @@
 //! another, so the *same* invariant code judges both the event-driven
 //! simulation and every state the guarded-action checker enumerates.
 //!
+//! The checks run in one sorted pass. Every resident copy goes into one
+//! flat array tagged with its position in the node-major walk and sorted
+//! once by `(line, position)`, so a line's owner, sharers and
+//! exclusive-clean holders are one contiguous run listed in walk order.
+//! The memory, registry and side-table snapshots are sorted by line too,
+//! and each invariant stage is a forward cursor walk over those arrays:
+//! no per-line maps or point queries. Stages run in a fixed order and
+//! report the first violation in address (or walk) order, so a failure
+//! names the same line and nodes on every run, whatever the snapshot
+//! order or the hasher.
+//!
 //! [`check_midflight`] is the subset of these invariants that holds at
 //! *every* event boundary, not only at quiescence — see
 //! [`MachineConfig::with_check_every`](crate::MachineConfig::with_check_every).
 
 use core::fmt;
 
-use multicube_mem::{LineAddr, LineMap, LineSet, LineVersion};
+use multicube_mem::{LineAddr, LineVersion};
 use multicube_topology::NodeId;
 
 use crate::config::EngineKind;
 use crate::machine::Machine;
 use crate::node::LineMode;
 use crate::proto::TxnId;
+
+/// One line's memory state at its home column: `(line, valid, data)`.
+pub type MemoryEntry = (LineAddr, bool, LineVersion);
+
+/// One line's registry state: `(line, owner, sharer count, committed
+/// version)`.
+pub type RegistryEntry = (LineAddr, Option<NodeId>, u32, LineVersion);
 
 /// An abstract, read-only view of global coherence state: everything the
 /// invariant predicates need, and nothing tied to the event-driven
@@ -52,12 +72,20 @@ use crate::proto::TxnId;
 ///
 /// Nodes are indexed `0..side()*side()` in row-major order; memory is
 /// interleaved by home column as in the paper.
+///
+/// Per-line state comes as bulk snapshots ([`memory`](Self::memory),
+/// [`registry`](Self::registry) and the side tables), not point queries.
+/// A snapshot holds at most one entry per line, in any order: the checker
+/// sorts it. A line absent from a snapshot reads as its default — memory
+/// valid with [`LineVersion::INITIAL`], no registry owner, zero sharers,
+/// committed version `INITIAL` — exactly like an untouched line.
 pub trait CoherenceView {
     /// The grid side `n` (the machine has `n * n` nodes).
     fn side(&self) -> u32;
 
     /// Every line resident in `node`'s snooping cache, with its mode and
-    /// the data version it holds. Order is not significant.
+    /// the data version it holds. Each line appears at most once; order is
+    /// not significant.
     ///
     /// The invariant checks and the model's fingerprints call this once
     /// per node at every quiescent point, so an implementation should
@@ -68,34 +96,21 @@ pub trait CoherenceView {
     /// level is not modelled.
     fn l1_lines(&self, node: NodeId) -> Vec<LineAddr>;
 
-    /// The contents of `node`'s modified-line-table replica (the simulator
-    /// answers with the table of `node`'s column). Order is not
-    /// significant (compared as sets).
-    fn mlt_lines(&self, node: NodeId) -> Vec<LineAddr>;
-
-    /// The registry's count of caches holding `line` shared.
-    fn registry_sharers(&self, line: LineAddr) -> u32;
+    /// The contents of column `col`'s modified line table, which every
+    /// controller of the column replicates. Order is not significant
+    /// (compared as a set).
+    fn mlt_lines(&self, col: u32) -> Vec<LineAddr>;
 
     /// The home column of `line`.
     fn home_column(&self, line: LineAddr) -> u32;
 
-    /// Memory's valid bit for `line` at its home column.
-    fn memory_valid(&self, line: LineAddr) -> bool;
+    /// Memory's valid bit and stored data version (regardless of
+    /// validity) at the home column of every line memory has stored.
+    fn memory(&self) -> Vec<MemoryEntry>;
 
-    /// Memory's stored data version for `line` (regardless of validity).
-    fn memory_data(&self, line: LineAddr) -> LineVersion;
-
-    /// Every line memory has ever stored (union over all columns).
-    fn memory_lines(&self) -> Vec<LineAddr>;
-
-    /// The latest committed write version of `line`.
-    fn committed_version(&self, line: LineAddr) -> LineVersion;
-
-    /// The owner registry's entry for `line`.
-    fn registry_owner(&self, line: LineAddr) -> Option<NodeId>;
-
-    /// All owner-registry entries.
-    fn registry_entries(&self) -> Vec<(LineAddr, NodeId)>;
+    /// The registry's owner, shared-copy count and latest committed write
+    /// version of every line it has an entry for.
+    fn registry(&self) -> Vec<RegistryEntry>;
 
     /// The arena engines' exclusive-clean (`E`) side table.
     fn excl_entries(&self) -> Vec<(LineAddr, NodeId)>;
@@ -128,48 +143,32 @@ impl CoherenceView for Machine {
             .unwrap_or_default()
     }
 
-    fn mlt_lines(&self, node: NodeId) -> Vec<LineAddr> {
-        self.mlt(node.index() % Machine::side(self))
-            .iter()
-            .copied()
-            .collect()
-    }
-
-    fn registry_sharers(&self, line: LineAddr) -> u32 {
-        self.sharer_count(line)
+    fn mlt_lines(&self, col: u32) -> Vec<LineAddr> {
+        self.mlt(col).iter().copied().collect()
     }
 
     fn home_column(&self, line: LineAddr) -> u32 {
         Machine::home_column(self, line)
     }
 
-    fn memory_valid(&self, line: LineAddr) -> bool {
-        self.memory(Machine::home_column(self, line))
-            .is_valid(&line)
-    }
-
-    fn memory_data(&self, line: LineAddr) -> LineVersion {
-        self.memory(Machine::home_column(self, line)).peek(&line)
-    }
-
-    fn memory_lines(&self) -> Vec<LineAddr> {
+    fn memory(&self) -> Vec<MemoryEntry> {
         let mut out = Vec::new();
         for col in 0..Machine::side(self) {
-            out.extend(self.memory(col).touched_lines().map(|(l, _, _)| l));
+            for entry in self.memory(col).touched_lines() {
+                debug_assert_eq!(
+                    Machine::home_column(self, entry.0),
+                    col,
+                    "memory stored {:?} off its home column",
+                    entry.0
+                );
+                out.push(entry);
+            }
         }
         out
     }
 
-    fn committed_version(&self, line: LineAddr) -> LineVersion {
-        Machine::committed_version(self, line)
-    }
-
-    fn registry_owner(&self, line: LineAddr) -> Option<NodeId> {
-        Machine::registry_owner(self, line)
-    }
-
-    fn registry_entries(&self) -> Vec<(LineAddr, NodeId)> {
-        Machine::registry_entries(self).collect()
+    fn registry(&self) -> Vec<RegistryEntry> {
+        self.registry_snapshot().collect()
     }
 
     fn excl_entries(&self) -> Vec<(LineAddr, NodeId)> {
@@ -221,8 +220,8 @@ pub enum CoherenceViolation {
         /// Description of the stale holder.
         holder: String,
     },
-    /// MLT replicas within a column disagree, or the table content does
-    /// not match the modified lines actually held in the column.
+    /// A column's modified line table does not match the modified lines
+    /// actually held in the column (or an arena engine populated it).
     MltInconsistent {
         /// The column concerned.
         col: u32,
@@ -303,73 +302,182 @@ impl fmt::Display for CoherenceViolation {
 
 impl std::error::Error for CoherenceViolation {}
 
-/// Per-line residency gathered in one pass over every node's cache.
-#[derive(Default)]
+/// One resident copy, tagged with its position in the node-major walk.
+#[derive(Clone, Copy)]
+struct Held {
+    line: LineAddr,
+    pos: u32,
+    node: NodeId,
+    mode: LineMode,
+    data: LineVersion,
+}
+
+/// Every resident copy in one array sorted by `(line, walk position)`:
+/// each line's copies are one contiguous run, holders in walk order.
 struct Gathered {
-    owners: LineMap<NodeId>,
-    sharers: LineMap<Vec<NodeId>>,
-    reserved: LineMap<Vec<NodeId>>,
-    held: LineMap<Vec<(NodeId, LineVersion)>>,
+    copies: Vec<Held>,
+    /// The first L1 line, in walk order, absent from its node's snooping
+    /// cache (the §2 strict-subset property), reported at its own stage.
+    subset: Option<CoherenceViolation>,
 }
 
 impl Gathered {
-    /// The data version `node` holds for `line`, if resident.
-    fn version_at(&self, node: NodeId, line: LineAddr) -> Option<LineVersion> {
-        self.held
-            .get(&line)
-            .and_then(|v| v.iter().find(|(n, _)| *n == node))
-            .map(|(_, d)| *d)
+    /// Each resident line's run of copies, in address order.
+    fn runs(&self) -> impl Iterator<Item = &[Held]> {
+        self.copies.chunk_by(|a, b| a.line == b.line)
     }
 }
 
-/// Walks every cache once, detecting multiple writers on the way.
+/// The copies of a run held in `mode`, in walk order.
+fn in_mode(run: &[Held], mode: LineMode) -> impl Iterator<Item = &Held> {
+    run.iter().filter(move |c| c.mode == mode)
+}
+
+/// The run's modified copy (at most one once [`gather`] has succeeded).
+fn owner_of(run: &[Held]) -> Option<&Held> {
+    in_mode(run, LineMode::Modified).next()
+}
+
+/// Advances the address-sorted cursor `items` past every entry below
+/// `line`, then splits off and returns the entries at `line`.
+fn take_at<'a, T>(items: &mut &'a [T], line: LineAddr, key: impl Fn(&T) -> LineAddr) -> &'a [T] {
+    let start = items
+        .iter()
+        .position(|e| key(e) >= line)
+        .unwrap_or(items.len());
+    let len = items[start..]
+        .iter()
+        .position(|e| key(e) != line)
+        .unwrap_or(items.len() - start);
+    let (run, rest) = items[start..].split_at(len);
+    *items = rest;
+    run
+}
+
+/// `entries` (at most one per line) in address order.
+fn by_line<T>(mut entries: Vec<T>, key: impl Fn(&T) -> LineAddr) -> Vec<T> {
+    entries.sort_unstable_by_key(key);
+    entries
+}
+
+/// The committed version in a registry lookup (`INITIAL` if no entry).
+fn committed(entry: &[RegistryEntry]) -> LineVersion {
+    entry.first().map_or(LineVersion::INITIAL, |e| e.3)
+}
+
+/// A resident copy that does not hold the latest committed version;
+/// `holder` names it in the report.
+fn stale_copy(holder: String, copy: &Held, latest: LineVersion) -> CoherenceViolation {
+    CoherenceViolation::StaleValue {
+        line: copy.line,
+        holder: format!("{holder} holds {:?}, expected {latest:?}", Some(copy.data)),
+    }
+}
+
+/// Walks every cache once into the sorted copy array, noting the first L1
+/// subset violation on the way, and detects multiple writers.
+///
+/// The reported writer pair is the one the node-major walk meets first:
+/// the line whose second modified copy has the smallest walk position,
+/// with its first modified holder.
 fn gather(v: &dyn CoherenceView) -> Result<Gathered, CoherenceViolation> {
     let n = v.side();
-    let mut g = Gathered::default();
+    let mut copies: Vec<Held> = Vec::new();
+    let mut subset = None;
+    let mut l2: Vec<LineAddr> = Vec::new();
     for node_idx in 0..(n * n) {
         let node = NodeId::new(node_idx);
-        for (line, mode, data) in v.resident(node) {
-            g.held.entry(line).or_default().push((node, data));
-            match mode {
-                LineMode::Modified => {
-                    if let Some(prev) = g.owners.insert(line, node) {
-                        return Err(CoherenceViolation::MultipleWriters {
-                            line,
-                            nodes: (prev, node),
-                        });
-                    }
+        let resident = v.resident(node);
+        if subset.is_none() {
+            let l1 = v.l1_lines(node);
+            if !l1.is_empty() {
+                l2.clear();
+                l2.extend(resident.iter().map(|(line, _, _)| *line));
+                l2.sort_unstable();
+                if let Some(&line) = l1.iter().find(|l| l2.binary_search(l).is_err()) {
+                    subset = Some(CoherenceViolation::SubsetViolation { node, line });
                 }
-                LineMode::Shared => g.sharers.entry(line).or_default().push(node),
-                LineMode::Reserved => g.reserved.entry(line).or_default().push(node),
             }
         }
+        let base = copies.len() as u32;
+        copies.extend(
+            resident
+                .into_iter()
+                .enumerate()
+                .map(|(i, (line, mode, data))| Held {
+                    line,
+                    pos: base + i as u32,
+                    node,
+                    mode,
+                    data,
+                }),
+        );
+    }
+    copies.sort_unstable_by_key(|c| (c.line, c.pos));
+    let g = Gathered { copies, subset };
+    let clash = g
+        .runs()
+        .filter_map(|run| {
+            let mut writers = in_mode(run, LineMode::Modified);
+            Some((writers.next()?, writers.next()?))
+        })
+        .min_by_key(|(_, second)| second.pos);
+    if let Some((first, second)) = clash {
+        return Err(CoherenceViolation::MultipleWriters {
+            line: first.line,
+            nodes: (first.node, second.node),
+        });
     }
     Ok(g)
 }
 
-/// Lines known to any structure, in stable address order.
-fn known_lines(v: &dyn CoherenceView, g: &Gathered) -> Vec<LineAddr> {
-    let mut lines: LineSet = LineSet::default();
-    lines.extend(g.held.keys().copied());
-    lines.extend(v.memory_lines());
-    let mut lines: Vec<LineAddr> = lines.into_iter().collect();
-    lines.sort_unstable_by_key(|l| l.index());
-    lines
+/// One line known to the caches or to memory.
+struct Known<'a> {
+    line: LineAddr,
+    /// Its run of resident copies (empty when no cache holds it).
+    copies: &'a [Held],
+    /// Memory's `(valid, data)` at the home column, defaults if untouched.
+    memory: (bool, LineVersion),
 }
 
-/// The registry's sharer count of every line in `lines` (address order)
+/// Every line any cache or memory knows, in address order: a merge-join
+/// of the copy runs with the sorted memory snapshot.
+fn known_lines<'a>(g: &'a Gathered, memory: &'a [MemoryEntry]) -> impl Iterator<Item = Known<'a>> {
+    let mut copies = g.copies.as_slice();
+    let mut memory = memory;
+    std::iter::from_fn(move || {
+        let line = match (copies.first(), memory.first()) {
+            (None, None) => return None,
+            (Some(c), None) => c.line,
+            (None, Some(m)) => m.0,
+            (Some(c), Some(m)) => c.line.min(m.0),
+        };
+        Some(Known {
+            line,
+            copies: take_at(&mut copies, line, |c| c.line),
+            memory: take_at(&mut memory, line, |m| m.0)
+                .first()
+                .map_or((true, LineVersion::INITIAL), |m| (m.1, m.2)),
+        })
+    })
+}
+
+/// The registry's sharer count of every known line (address order)
 /// equals the number of shared copies the caches hold.
 fn check_sharer_counts(
-    v: &dyn CoherenceView,
     g: &Gathered,
-    lines: &[LineAddr],
+    memory: &[MemoryEntry],
+    registry: &[RegistryEntry],
 ) -> Result<(), CoherenceViolation> {
-    for &line in lines {
-        let copies = g.sharers.get(&line).map_or(0, Vec::len);
-        let counted = v.registry_sharers(line);
+    let mut reg = registry;
+    for k in known_lines(g, memory) {
+        let copies = in_mode(k.copies, LineMode::Shared).count();
+        let counted = take_at(&mut reg, k.line, |e| e.0)
+            .first()
+            .map_or(0, |e| e.2);
         if counted as usize != copies {
             return Err(CoherenceViolation::RegistryMismatch {
-                line,
+                line: k.line,
                 detail: format!("registry counts {counted} sharers, caches hold {copies}"),
             });
         }
@@ -378,52 +486,35 @@ fn check_sharer_counts(
 }
 
 /// Registry sanity, both directions: every cache owner is registered, and
-/// every registry entry is backed by a modified copy.
-fn check_registry(v: &dyn CoherenceView, g: &Gathered) -> Result<(), CoherenceViolation> {
-    let mut owned_lines: Vec<LineAddr> = g.owners.keys().copied().collect();
-    owned_lines.sort_unstable_by_key(|l| l.index());
-    for &line in &owned_lines {
-        let node = g.owners[&line];
-        if v.registry_owner(line) != Some(node) {
+/// every registry owner is backed by a modified copy. Each direction
+/// reports its smallest offending address.
+fn check_registry(g: &Gathered, registry: &[RegistryEntry]) -> Result<(), CoherenceViolation> {
+    let mut reg = registry;
+    for owner in g.runs().filter_map(owner_of) {
+        let entry = take_at(&mut reg, owner.line, |e| e.0);
+        if entry.first().and_then(|e| e.1) != Some(owner.node) {
             return Err(CoherenceViolation::RegistryMismatch {
-                line,
-                detail: format!("cache owner {node} not in registry"),
+                line: owner.line,
+                detail: format!("cache owner {} not in registry", owner.node),
             });
         }
     }
-    // Smallest offending address, not whichever the hash order yields
-    // first: stray-registry-entry reports must be stable run to run.
-    if let Some((line, node)) = v
-        .registry_entries()
-        .into_iter()
-        .filter(|(l, _)| !g.owners.contains_key(l))
-        .min_by_key(|(l, _)| l.index())
-    {
-        return Err(CoherenceViolation::RegistryMismatch {
-            line,
-            detail: format!("registry claims {node} but no cache holds it modified"),
-        });
+    let mut copies = g.copies.as_slice();
+    for &(line, owner, _, _) in registry {
+        let Some(node) = owner else { continue };
+        if owner_of(take_at(&mut copies, line, |c| c.line)).is_none() {
+            return Err(CoherenceViolation::RegistryMismatch {
+                line,
+                detail: format!("registry claims {node} but no cache holds it modified"),
+            });
+        }
     }
     Ok(())
 }
 
-/// The §2 strict-subset property: every L1 line is present in L2.
-fn check_l1_subset(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
-    let n = v.side();
-    for node_idx in 0..(n * n) {
-        let node = NodeId::new(node_idx);
-        let l1 = v.l1_lines(node);
-        if l1.is_empty() {
-            continue;
-        }
-        let l2: LineSet = v.resident(node).into_iter().map(|(l, _, _)| l).collect();
-        for line in l1 {
-            if !l2.contains(&line) {
-                return Err(CoherenceViolation::SubsetViolation { node, line });
-            }
-        }
-    }
-    Ok(())
+/// The first L1 line missing from the snooping cache, found by [`gather`].
+fn check_l1_subset(g: &Gathered) -> Result<(), CoherenceViolation> {
+    g.subset.clone().map_or(Ok(()), Err)
 }
 
 /// Runs all invariant checks against a quiescent Multicube machine (or
@@ -435,30 +526,28 @@ fn check_l1_subset(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
 pub fn check(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
     let n = v.side();
     let g = gather(v)?;
-
-    // Violations below are found by walking hash maps; report them in
-    // line-address order so a given failure names the same line on every
-    // run, whatever the hasher.
-    let mut owned_lines: Vec<LineAddr> = g.owners.keys().copied().collect();
-    owned_lines.sort_unstable_by_key(|l| l.index());
+    let memory = by_line(v.memory(), |e| e.0);
+    let registry = by_line(v.registry(), |e| e.0);
 
     // 2. Modified excludes shared.
-    for &line in &owned_lines {
-        let owner = g.owners[&line];
-        if let Some(&sharer) = g.sharers.get(&line).and_then(|s| s.first()) {
+    for run in g.runs() {
+        let Some(owner) = owner_of(run) else { continue };
+        if let Some(sharer) = in_mode(run, LineMode::Shared).next() {
             return Err(CoherenceViolation::ModifiedWithSharers {
-                line,
-                owner,
-                sharer,
+                line: owner.line,
+                owner: owner.node,
+                sharer: sharer.node,
             });
         }
     }
 
     // 3+4. Valid bit and value integrity over every line any structure knows.
-    let lines = known_lines(v, &g);
-    for &line in &lines {
-        let memory_valid = v.memory_valid(line);
-        let has_owner = g.owners.contains_key(&line);
+    let mut reg = registry.as_slice();
+    for k in known_lines(&g, &memory) {
+        let line = k.line;
+        let (memory_valid, memory_data) = k.memory;
+        let owner = owner_of(k.copies);
+        let has_owner = owner.is_some();
         if memory_valid == has_owner {
             return Err(CoherenceViolation::ValidBitMismatch {
                 line,
@@ -466,47 +555,45 @@ pub fn check(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
                 has_owner,
             });
         }
-        let latest = v.committed_version(line);
-        if let Some(&owner) = g.owners.get(&line) {
-            let held = g.version_at(owner, line);
-            if held != Some(latest) {
-                return Err(CoherenceViolation::StaleValue {
-                    line,
-                    holder: format!("owner {owner} holds {held:?}, expected {latest:?}"),
-                });
+        let latest = committed(take_at(&mut reg, line, |e| e.0));
+        if let Some(owner) = owner {
+            if owner.data != latest {
+                return Err(stale_copy(format!("owner {}", owner.node), owner, latest));
             }
         } else {
-            if v.memory_data(line) != latest {
+            if memory_data != latest {
                 return Err(CoherenceViolation::StaleValue {
                     line,
                     holder: format!("memory column {}", v.home_column(line)),
                 });
             }
-            for sharer in g.sharers.get(&line).into_iter().flatten() {
-                let held = g.version_at(*sharer, line);
-                if held != Some(latest) {
-                    return Err(CoherenceViolation::StaleValue {
-                        line,
-                        holder: format!("sharer {sharer} holds {held:?}, expected {latest:?}"),
-                    });
+            for sharer in in_mode(k.copies, LineMode::Shared) {
+                if sharer.data != latest {
+                    return Err(stale_copy(
+                        format!("sharer {}", sharer.node),
+                        sharer,
+                        latest,
+                    ));
                 }
             }
         }
     }
 
-    // 5. MLT replicas agree and match reality per column.
-    check_mlt_replicas(v)?;
+    // 5. Each column's table holds exactly the lines modified in the column.
+    let mut owned: Vec<(u32, LineAddr)> = g
+        .runs()
+        .filter_map(owner_of)
+        .map(|o| (o.node.index() % n, o.line))
+        .collect();
+    owned.sort_unstable();
+    let mut rest = owned.as_slice();
     for col in 0..n {
-        let mut table: Vec<LineAddr> = v.mlt_lines(NodeId::new(col));
-        table.sort_unstable_by_key(|l| l.index());
-        let table: LineSet = table.into_iter().collect();
-        let actual: LineSet = g
-            .owners
-            .iter()
-            .filter(|(_, node)| node.index() % n == col)
-            .map(|(line, _)| *line)
-            .collect();
-        if table != actual {
+        let (actual, tail) = rest.split_at(rest.partition_point(|e| e.0 == col));
+        rest = tail;
+        let mut table = v.mlt_lines(col);
+        table.sort_unstable();
+        table.dedup();
+        if !table.iter().eq(actual.iter().map(|(_, line)| line)) {
             return Err(CoherenceViolation::MltInconsistent {
                 col,
                 detail: format!(
@@ -519,48 +606,17 @@ pub fn check(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
     }
 
     // 6. Processor-cache subset property (§2).
-    check_l1_subset(v)?;
+    check_l1_subset(&g)?;
 
     // 7. Registry sanity.
-    check_registry(v, &g)?;
-    check_sharer_counts(v, &g, &lines)?;
+    check_registry(&g, &registry)?;
+    check_sharer_counts(&g, &memory, &registry)?;
 
     // 8. No leaked watchdog escalations.
     if let Some(txn) = v.escalated() {
         return Err(CoherenceViolation::EscalationLeak { txn });
     }
 
-    Ok(())
-}
-
-/// MLT replica agreement: within each column every node's replica holds
-/// the same set of lines.
-///
-/// For [`Machine`] the check is structural: it keeps one table per column
-/// and every node of the column reports it, so agreement holds by
-/// construction. For the model checker's states it is semantic, since
-/// their replicas are derived from ownership node by node.
-fn check_mlt_replicas(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
-    let n = v.side();
-    for col in 0..n {
-        let mut reference: Option<Vec<LineAddr>> = None;
-        for row in 0..n {
-            let node = NodeId::new(row * n + col);
-            let mut entries = v.mlt_lines(node);
-            entries.sort_unstable_by_key(|l| l.index());
-            match &reference {
-                None => reference = Some(entries),
-                Some(r) => {
-                    if *r != entries {
-                        return Err(CoherenceViolation::MltInconsistent {
-                            col,
-                            detail: format!("replica at {node} diverges"),
-                        });
-                    }
-                }
-            }
-        }
-    }
     Ok(())
 }
 
@@ -607,38 +663,41 @@ pub fn check_engine(kind: EngineKind, v: &dyn CoherenceView) -> Result<(), Coher
 
 /// The invariant subset that holds at *every* event boundary, not only at
 /// quiescence: the registry mirrors the caches (both directions), L1 is a
-/// strict subset of L2, no structure holds a version newer than the
-/// committed one, and MLT replicas within a column agree. Transiently-
-/// violable invariants (single writer during an invalidation chain, the
-/// valid bit during a memory bounce, MLT-vs-cache equality while a column
-/// op is in flight) are deliberately excluded.
+/// strict subset of L2, and no structure holds a version newer than the
+/// committed one. Transiently-violable invariants (single writer during
+/// an invalidation chain, the valid bit during a memory bounce,
+/// MLT-vs-cache equality while a column op is in flight) are deliberately
+/// excluded.
 ///
-/// Engine-independent: arena engines keep the MLT empty, so replica
-/// agreement holds trivially.
+/// Engine-independent.
 ///
 /// # Errors
 ///
 /// The first violation found.
 pub fn check_midflight(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
-    let n = v.side();
     let g = gather(v)?;
-    check_registry(v, &g)?;
-    check_l1_subset(v)?;
-    check_mlt_replicas(v)?;
-    // No structure may hold a version from the future.
-    for node_idx in 0..(n * n) {
-        let node = NodeId::new(node_idx);
-        for (line, _, data) in v.resident(node) {
-            if data > v.committed_version(line) {
-                return Err(CoherenceViolation::StaleValue {
-                    line,
-                    holder: format!("{node} holds uncommitted version {data:?}"),
-                });
-            }
-        }
+    let registry = by_line(v.registry(), |e| e.0);
+    check_registry(&g, &registry)?;
+    check_l1_subset(&g)?;
+    // No structure may hold a version from the future: the first such
+    // copy in walk order, then the smallest such memory line.
+    let mut reg = registry.as_slice();
+    let future = g
+        .runs()
+        .filter_map(|run| {
+            let latest = committed(take_at(&mut reg, run[0].line, |e| e.0));
+            run.iter().find(|c| c.data > latest)
+        })
+        .min_by_key(|c| c.pos);
+    if let Some(c) = future {
+        return Err(CoherenceViolation::StaleValue {
+            line: c.line,
+            holder: format!("{} holds uncommitted version {:?}", c.node, c.data),
+        });
     }
-    for line in v.memory_lines() {
-        if v.memory_data(line) > v.committed_version(line) {
+    let mut reg = registry.as_slice();
+    for (line, _, data) in by_line(v.memory(), |e| e.0) {
+        if data > committed(take_at(&mut reg, line, |e| e.0)) {
             return Err(CoherenceViolation::StaleValue {
                 line,
                 holder: format!(
@@ -656,90 +715,85 @@ pub fn check_midflight(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> 
 fn check_arena(v: &dyn CoherenceView, update_based: bool) -> Result<(), CoherenceViolation> {
     let n = v.side();
     let g = gather(v)?;
-
-    // Report in line-address order so failures are stable run to run.
-    let mut owned_lines: Vec<LineAddr> = g.owners.keys().copied().collect();
-    owned_lines.sort_unstable_by_key(|l| l.index());
+    let memory = by_line(v.memory(), |e| e.0);
+    let registry = by_line(v.registry(), |e| e.0);
 
     // An M copy is the sole copy.
-    for &line in &owned_lines {
-        let owner = g.owners[&line];
-        if let Some(&sharer) = g.sharers.get(&line).and_then(|s| s.first()) {
+    for run in g.runs() {
+        let Some(owner) = owner_of(run) else { continue };
+        if let Some(sharer) = in_mode(run, LineMode::Shared).next() {
             return Err(CoherenceViolation::ModifiedWithSharers {
-                line,
-                owner,
-                sharer,
+                line: owner.line,
+                owner: owner.node,
+                sharer: sharer.node,
             });
         }
-        if let Some(&holder) = g.reserved.get(&line).and_then(|r| r.first()) {
+        if let Some(holder) = in_mode(run, LineMode::Reserved).next() {
             return Err(CoherenceViolation::RegistryMismatch {
-                line,
-                detail: format!("{holder} holds an exclusive-clean copy alongside owner {owner}"),
+                line: owner.line,
+                detail: format!(
+                    "{} holds an exclusive-clean copy alongside owner {}",
+                    holder.node, owner.node
+                ),
             });
         }
     }
 
     // An E copy is the sole copy, and the side table matches the caches.
-    let excl: LineMap<NodeId> = v.excl_entries().into_iter().collect();
-    let mut reserved_lines: Vec<LineAddr> = g.reserved.keys().copied().collect();
-    reserved_lines.sort_unstable_by_key(|l| l.index());
-    for &line in &reserved_lines {
-        let holders = &g.reserved[&line];
-        if holders.len() > 1 {
+    let excl = by_line(v.excl_entries(), |e| e.0);
+    let mut table = excl.as_slice();
+    for run in g.runs() {
+        let mut holders = in_mode(run, LineMode::Reserved);
+        let Some(holder) = holders.next() else {
+            continue;
+        };
+        let (line, node) = (holder.line, holder.node);
+        if let Some(other) = holders.next() {
+            return Err(CoherenceViolation::RegistryMismatch {
+                line,
+                detail: format!("{node} and {} both hold exclusive-clean copies", other.node),
+            });
+        }
+        if let Some(sharer) = in_mode(run, LineMode::Shared).next() {
             return Err(CoherenceViolation::RegistryMismatch {
                 line,
                 detail: format!(
-                    "{} and {} both hold exclusive-clean copies",
-                    holders[0], holders[1]
+                    "{node} holds an exclusive-clean copy alongside sharer {}",
+                    sharer.node
                 ),
             });
         }
-        if let Some(&sharer) = g.sharers.get(&line).and_then(|s| s.first()) {
+        if take_at(&mut table, line, |e| e.0).first().map(|e| e.1) != Some(node) {
             return Err(CoherenceViolation::RegistryMismatch {
                 line,
-                detail: format!(
-                    "{} holds an exclusive-clean copy alongside sharer {sharer}",
-                    holders[0]
-                ),
-            });
-        }
-        if excl.get(&line) != Some(&holders[0]) {
-            return Err(CoherenceViolation::RegistryMismatch {
-                line,
-                detail: format!(
-                    "exclusive-clean holder {} missing from the E side table",
-                    holders[0]
-                ),
+                detail: format!("exclusive-clean holder {node} missing from the E side table"),
             });
         }
     }
-    if let Some((line, node)) = excl
-        .iter()
-        .filter(|(l, _)| !g.reserved.contains_key(l))
-        .map(|(l, n)| (*l, *n))
-        .min_by_key(|(l, _)| l.index())
-    {
-        return Err(CoherenceViolation::RegistryMismatch {
-            line,
-            detail: format!("E side table claims {node} but no cache holds it exclusive-clean"),
-        });
+    let mut copies = g.copies.as_slice();
+    for &(line, node) in &excl {
+        let run = take_at(&mut copies, line, |c| c.line);
+        if in_mode(run, LineMode::Reserved).next().is_none() {
+            return Err(CoherenceViolation::RegistryMismatch {
+                line,
+                detail: format!("E side table claims {node} but no cache holds it exclusive-clean"),
+            });
+        }
     }
 
     // The Sm side table: a Dragon shared-modified holder must be a
     // resident sharer; MESI must never populate it.
-    let sm: LineMap<NodeId> = v.sm_entries().into_iter().collect();
-    let mut sm_lines: Vec<LineAddr> = sm.keys().copied().collect();
-    sm_lines.sort_unstable_by_key(|l| l.index());
-    for &line in &sm_lines {
-        let holder = sm[&line];
+    let sm = by_line(v.sm_entries(), |e| e.0);
+    let mut copies = g.copies.as_slice();
+    for &(line, holder) in &sm {
         if !update_based {
             return Err(CoherenceViolation::RegistryMismatch {
                 line,
                 detail: format!("Sm side table claims {holder} under a write-invalidate engine"),
             });
         }
-        let is_sharer = g.sharers.get(&line).is_some_and(|s| s.contains(&holder));
-        if !is_sharer {
+        let run = take_at(&mut copies, line, |c| c.line);
+        if !in_mode(run, LineMode::Shared).any(|c| c.node == holder) {
             return Err(CoherenceViolation::RegistryMismatch {
                 line,
                 detail: format!("Sm holder {holder} does not hold the line shared"),
@@ -748,10 +802,13 @@ fn check_arena(v: &dyn CoherenceView, update_based: bool) -> Result<(), Coherenc
     }
 
     // Valid bit and value integrity over every line any structure knows.
-    let lines = known_lines(v, &g);
-    for &line in &lines {
-        let memory_valid = v.memory_valid(line);
-        let dirty = g.owners.contains_key(&line) || sm.contains_key(&line);
+    let mut reg = registry.as_slice();
+    let mut sm_at = sm.as_slice();
+    for k in known_lines(&g, &memory) {
+        let line = k.line;
+        let (memory_valid, memory_data) = k.memory;
+        let owner = owner_of(k.copies);
+        let dirty = owner.is_some() || !take_at(&mut sm_at, line, |e| e.0).is_empty();
         if memory_valid == dirty {
             return Err(CoherenceViolation::ValidBitMismatch {
                 line,
@@ -759,8 +816,8 @@ fn check_arena(v: &dyn CoherenceView, update_based: bool) -> Result<(), Coherenc
                 has_owner: dirty,
             });
         }
-        let latest = v.committed_version(line);
-        if !dirty && v.memory_data(line) != latest {
+        let latest = committed(take_at(&mut reg, line, |e| e.0));
+        if !dirty && memory_data != latest {
             return Err(CoherenceViolation::StaleValue {
                 line,
                 holder: format!("memory column {}", v.home_column(line)),
@@ -769,48 +826,38 @@ fn check_arena(v: &dyn CoherenceView, update_based: bool) -> Result<(), Coherenc
         // Every resident copy holds the latest committed version: under
         // MESI because writers are sole holders, under Dragon because
         // updates refresh every copy in place.
-        if let Some(&owner) = g.owners.get(&line) {
-            let held = g.version_at(owner, line);
-            if held != Some(latest) {
-                return Err(CoherenceViolation::StaleValue {
-                    line,
-                    holder: format!("owner {owner} holds {held:?}, expected {latest:?}"),
-                });
+        if let Some(owner) = owner {
+            if owner.data != latest {
+                return Err(stale_copy(format!("owner {}", owner.node), owner, latest));
             }
         }
-        for holder in g
-            .sharers
-            .get(&line)
-            .into_iter()
-            .flatten()
-            .chain(g.reserved.get(&line).into_iter().flatten())
-        {
-            let held = g.version_at(*holder, line);
-            if held != Some(latest) {
-                return Err(CoherenceViolation::StaleValue {
-                    line,
-                    holder: format!("{holder} holds {held:?}, expected {latest:?}"),
-                });
+        let holders =
+            in_mode(k.copies, LineMode::Shared).chain(in_mode(k.copies, LineMode::Reserved));
+        for holder in holders {
+            if holder.data != latest {
+                return Err(stale_copy(holder.node.to_string(), holder, latest));
             }
         }
     }
 
     // The MLT is a Multicube structure; arena engines must leave every
-    // replica empty.
-    for node_idx in 0..(n * n) {
-        let node = NodeId::new(node_idx);
-        if let Some(&line) = v.mlt_lines(node).first() {
+    // column's table empty. The report names the column's row-0 node.
+    for col in 0..n {
+        if let Some(&line) = v.mlt_lines(col).first() {
             return Err(CoherenceViolation::MltInconsistent {
-                col: node.index() % n,
-                detail: format!("arena engine populated the MLT at {node} with {line:?}"),
+                col,
+                detail: format!(
+                    "arena engine populated the MLT at {} with {line:?}",
+                    NodeId::new(col)
+                ),
             });
         }
     }
-    check_l1_subset(v)?;
+    check_l1_subset(&g)?;
 
     // Registry sanity (both directions).
-    check_registry(v, &g)?;
-    check_sharer_counts(v, &g, &lines)?;
+    check_registry(&g, &registry)?;
+    check_sharer_counts(&g, &memory, &registry)?;
 
     // No leaked watchdog escalations.
     if let Some(txn) = v.escalated() {

@@ -46,16 +46,23 @@ pub fn line_views(v: &dyn CoherenceView) -> Vec<LineView> {
             }
         }
     }
+    // Merge-join the address-ordered lines with the sorted memory snapshot.
+    let mut memory = v.memory();
+    memory.sort_unstable_by_key(|(line, _, _)| *line);
+    let mut memory = memory.into_iter().peekable();
     map.into_iter()
         .map(|(line, (owner, mut sharers))| {
             sharers.sort_unstable();
-            let home_column = v.home_column(line);
+            while memory.next_if(|(l, _, _)| *l < line).is_some() {}
+            let memory_valid = memory
+                .next_if(|(l, _, _)| *l == line)
+                .is_none_or(|(_, valid, _)| valid);
             LineView {
                 line,
                 owner,
                 sharers,
-                memory_valid: v.memory_valid(line),
-                home_column,
+                memory_valid,
+                home_column: v.home_column(line),
             }
         })
         .collect()

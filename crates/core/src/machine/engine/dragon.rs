@@ -17,7 +17,6 @@
 
 use multicube_topology::NodeId;
 
-use crate::check::{self, CoherenceView, CoherenceViolation};
 use crate::config::EngineKind;
 use crate::driver::{Request, RequestKind};
 use crate::machine::Machine;
@@ -66,10 +65,6 @@ impl ProtocolEngine for DragonEngine {
 
     fn on_local_done(&self, m: &mut Machine, node: NodeId) {
         arena_local_done(m, &DRAGON_OPS, node);
-    }
-
-    fn check(&self, v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
-        check::check_dragon(v)
     }
 }
 

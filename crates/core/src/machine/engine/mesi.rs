@@ -15,7 +15,6 @@
 
 use multicube_topology::NodeId;
 
-use crate::check::{self, CoherenceView, CoherenceViolation};
 use crate::config::EngineKind;
 use crate::driver::{Request, RequestKind};
 use crate::machine::Machine;
@@ -65,10 +64,6 @@ impl ProtocolEngine for MesiEngine {
 
     fn on_local_done(&self, m: &mut Machine, node: NodeId) {
         arena_local_done(m, &MESI_OPS, node);
-    }
-
-    fn check(&self, v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
-        check::check_mesi(v)
     }
 }
 

@@ -6,8 +6,10 @@
 //! and their occupancy accounting, caches and the registry bookkeeping
 //! (`Machine::set_line`/`Machine::clear_line`), transaction metrics
 //! and completions, fault injection and tracing. The engine owns the
-//! protocol: how a request starts (local, upgrade or miss), what each bus
-//! operation does when it completes, and which quiescent invariants hold.
+//! protocol: how a request starts (local, upgrade or miss) and what each
+//! bus operation does when it completes. Each engine's quiescent
+//! invariants live in `core::check`, selected by
+//! [`check_engine`](crate::check::check_engine).
 //!
 //! Three engines exist:
 //!
@@ -32,7 +34,6 @@ pub(crate) mod multicube;
 use multicube_mem::LineAddr;
 use multicube_topology::NodeId;
 
-use crate::check::{CoherenceView, CoherenceViolation};
 use crate::config::EngineKind;
 use crate::driver::{Request, RequestKind};
 use crate::machine::{Event, Machine};
@@ -70,14 +71,6 @@ pub trait ProtocolEngine: Send + Sync {
 
     /// A local (bus-free) cache access finished its latency.
     fn on_local_done(&self, m: &mut Machine, node: NodeId);
-
-    /// The engine's quiescent coherence invariants, run over any
-    /// [`CoherenceView`] (the machine itself, or a model-checker state).
-    ///
-    /// # Errors
-    ///
-    /// The first violated invariant.
-    fn check(&self, v: &dyn CoherenceView) -> Result<(), CoherenceViolation>;
 }
 
 /// The engine implementing `kind`.

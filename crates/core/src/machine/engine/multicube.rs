@@ -6,7 +6,6 @@
 
 use multicube_topology::NodeId;
 
-use crate::check::{self, CoherenceView, CoherenceViolation};
 use crate::config::EngineKind;
 use crate::driver::Request;
 use crate::machine::Machine;
@@ -32,9 +31,5 @@ impl ProtocolEngine for MulticubeEngine {
 
     fn on_local_done(&self, m: &mut Machine, node: NodeId) {
         m.on_local_done_multicube(node);
-    }
-
-    fn check(&self, v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
-        check::check(v)
     }
 }

@@ -597,7 +597,7 @@ impl Machine {
     ///
     /// The first violated invariant.
     pub fn check_coherence(&self) -> Result<(), CoherenceViolation> {
-        engine::engine_for(self.config.engine()).check(self)
+        crate::check::check_engine(self.config.engine(), self)
     }
 
     /// Runs the closed-loop synthetic workload: every processor issues
@@ -833,11 +833,13 @@ impl Machine {
         self.lines.get(&line).and_then(|e| e.owner)
     }
 
-    /// All registry entries (line, owner).
-    pub(crate) fn registry_entries(&self) -> impl Iterator<Item = (LineAddr, NodeId)> + '_ {
+    /// Every registry entry: owner, sharer count and committed version.
+    pub(crate) fn registry_snapshot(
+        &self,
+    ) -> impl Iterator<Item = crate::check::RegistryEntry> + '_ {
         self.lines
             .iter()
-            .filter_map(|(l, e)| e.owner.map(|n| (*l, n)))
+            .map(|(l, e)| (*l, e.owner, e.sharers, e.committed))
     }
 
     fn sharers_incr(&mut self, line: LineAddr) {

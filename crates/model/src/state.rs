@@ -12,12 +12,13 @@
 //! transition, not a chain of bus events), every reachable state is
 //! quiescent-shaped, and the *simulator's own* quiescent invariants from
 //! [`multicube::check`] judge it through the [`CoherenceView`] trait.
-//! Derived structures — the owner registry, the per-column MLT replicas,
-//! the arena side tables — are computed from cache modes on demand, so
+//! Derived structures — the owner registry, each column's MLT, the arena
+//! side tables — are computed from cache modes on demand, so
 //! they are consistent by construction; the invariants still exercise
 //! the protocol-semantic constraints (single writer, valid bit, value
 //! integrity, update freshness) that a wrong rule would break.
 
+use multicube::check::{MemoryEntry, RegistryEntry};
 use multicube::{CoherenceView, EngineKind, LineMode, TxnId};
 use multicube_mem::{LineAddr, LineVersion};
 use multicube_topology::NodeId;
@@ -237,12 +238,13 @@ pub struct StateView<'a> {
 }
 
 impl StateView<'_> {
-    fn line(&self, line: LineAddr) -> &LineState {
-        &self.state.lines[line.index() as usize]
-    }
-
-    fn node_col(node: NodeId) -> u32 {
-        node.index() % SIDE as u32
+    /// Every modelled line with its address.
+    fn lines(&self) -> impl Iterator<Item = (LineAddr, &LineState)> {
+        self.state
+            .lines
+            .iter()
+            .enumerate()
+            .map(|(l, ls)| (LineAddr::new(l as u64), ls))
     }
 }
 
@@ -253,112 +255,70 @@ impl CoherenceView for StateView<'_> {
 
     fn resident(&self, node: NodeId) -> Vec<(LineAddr, LineMode, LineVersion)> {
         let i = node.as_usize();
-        let mut out = Vec::new();
-        for (l, ls) in self.state.lines.iter().enumerate() {
-            let mode = match ls.mode[i] {
-                Mode::I => continue,
-                Mode::S => LineMode::Shared,
-                Mode::M => LineMode::Modified,
-                Mode::E => LineMode::Reserved,
-            };
-            out.push((
-                LineAddr::new(l as u64),
-                mode,
-                LineVersion::new(ls.data[i] as u64),
-            ));
-        }
-        out
+        self.lines()
+            .filter_map(|(line, ls)| {
+                let mode = match ls.mode[i] {
+                    Mode::I => return None,
+                    Mode::S => LineMode::Shared,
+                    Mode::M => LineMode::Modified,
+                    Mode::E => LineMode::Reserved,
+                };
+                Some((line, mode, LineVersion::new(ls.data[i] as u64)))
+            })
+            .collect()
     }
 
     fn l1_lines(&self, _node: NodeId) -> Vec<LineAddr> {
         Vec::new()
     }
 
-    fn mlt_lines(&self, node: NodeId) -> Vec<LineAddr> {
+    fn mlt_lines(&self, col: u32) -> Vec<LineAddr> {
         // The MLT is a Multicube structure; arena engines leave it empty.
-        // Replicas are derived from ownership, so within a column both
-        // rows see the same set — the replica-agreement invariant then
-        // checks the *semantic* property that the set matches the caches.
+        // The table is derived from ownership, so the column-table
+        // invariant checks the *semantic* property that a rule moving
+        // ownership keeps each column's modified lines where they belong.
         if self.cfg.engine != EngineKind::Multicube {
             return Vec::new();
         }
-        let col = Self::node_col(node);
-        self.state
-            .lines
-            .iter()
-            .enumerate()
+        self.lines()
             .filter(|(_, ls)| ls.owner().is_some_and(|o| o as u32 % SIDE as u32 == col))
-            .map(|(l, _)| LineAddr::new(l as u64))
+            .map(|(line, _)| line)
             .collect()
-    }
-
-    fn registry_sharers(&self, line: LineAddr) -> u32 {
-        self.line(line)
-            .mode
-            .iter()
-            .filter(|&&m| m == Mode::S)
-            .count() as u32
     }
 
     fn home_column(&self, line: LineAddr) -> u32 {
         (line.index() % SIDE as u64) as u32
     }
 
-    fn memory_valid(&self, line: LineAddr) -> bool {
-        self.line(line).mem_valid
-    }
-
-    fn memory_data(&self, line: LineAddr) -> LineVersion {
-        LineVersion::new(self.line(line).mem_data as u64)
-    }
-
-    fn memory_lines(&self) -> Vec<LineAddr> {
-        (0..self.state.lines.len() as u64)
-            .map(LineAddr::new)
+    fn memory(&self) -> Vec<MemoryEntry> {
+        self.lines()
+            .map(|(line, ls)| (line, ls.mem_valid, LineVersion::new(ls.mem_data as u64)))
             .collect()
     }
 
-    fn committed_version(&self, line: LineAddr) -> LineVersion {
-        LineVersion::new(self.line(line).committed as u64)
-    }
-
-    fn registry_owner(&self, line: LineAddr) -> Option<NodeId> {
-        self.line(line).owner().map(|o| NodeId::new(o as u32))
-    }
-
-    fn registry_entries(&self) -> Vec<(LineAddr, NodeId)> {
-        self.state
-            .lines
-            .iter()
-            .enumerate()
-            .filter_map(|(l, ls)| {
-                ls.owner()
-                    .map(|o| (LineAddr::new(l as u64), NodeId::new(o as u32)))
+    fn registry(&self) -> Vec<RegistryEntry> {
+        self.lines()
+            .map(|(line, ls)| {
+                let sharers = ls.mode.iter().filter(|&&m| m == Mode::S).count() as u32;
+                (
+                    line,
+                    ls.owner().map(|o| NodeId::new(o as u32)),
+                    sharers,
+                    LineVersion::new(ls.committed as u64),
+                )
             })
             .collect()
     }
 
     fn excl_entries(&self) -> Vec<(LineAddr, NodeId)> {
-        self.state
-            .lines
-            .iter()
-            .enumerate()
-            .filter_map(|(l, ls)| {
-                ls.excl()
-                    .map(|e| (LineAddr::new(l as u64), NodeId::new(e as u32)))
-            })
+        self.lines()
+            .filter_map(|(line, ls)| ls.excl().map(|e| (line, NodeId::new(e as u32))))
             .collect()
     }
 
     fn sm_entries(&self) -> Vec<(LineAddr, NodeId)> {
-        self.state
-            .lines
-            .iter()
-            .enumerate()
-            .filter_map(|(l, ls)| {
-                ls.sm
-                    .map(|s| (LineAddr::new(l as u64), NodeId::new(s as u32)))
-            })
+        self.lines()
+            .filter_map(|(line, ls)| ls.sm.map(|s| (line, NodeId::new(s as u32))))
             .collect()
     }
 

@@ -57,18 +57,25 @@ pub type Fingerprint = Vec<LineFingerprint>;
 
 /// Fingerprints any coherence view over the first `lines` line addresses.
 ///
-/// One pass: each node's resident lines and the `Sm` table are walked
-/// once, and entries beyond the first `lines` addresses are ignored.
+/// One pass: each node's resident lines, the memory snapshot and the
+/// `Sm` table are walked once, and entries beyond the first `lines`
+/// addresses are ignored. A line memory never stored reads valid.
 pub fn fingerprint(v: &dyn CoherenceView, lines: u8) -> Fingerprint {
-    let mut out: Fingerprint = (0..lines as u64)
-        .map(|l| LineFingerprint {
+    let mut out: Fingerprint = vec![
+        LineFingerprint {
             owner: None,
             excl: None,
             sm: None,
             sharers: 0,
-            mem_valid: v.memory_valid(LineAddr::new(l)),
-        })
-        .collect();
+            mem_valid: true,
+        };
+        lines as usize
+    ];
+    for (line, valid, _) in v.memory() {
+        if let Some(fp) = out.get_mut(line.index() as usize) {
+            fp.mem_valid = valid;
+        }
+    }
     for node_idx in 0..NODES as u8 {
         for (line, mode, _) in v.resident(NodeId::new(u32::from(node_idx))) {
             let Some(fp) = out.get_mut(line.index() as usize) else {
