@@ -222,6 +222,30 @@ fn kernel_faulted_run(quick: bool) -> u64 {
     report.transactions_completed
 }
 
+/// Blocking transactions per processor in one `mesi_16x16` pass.
+fn mesi_16x16_txns(quick: bool) -> u64 {
+    if quick {
+        5
+    } else {
+        20
+    }
+}
+
+/// The `mesi_16x16` kernel: the single-bus MESI engine on a 16×16 grid at
+/// one of the `sweep` rates (10 req/ms/proc). Every other machine kernel
+/// is 4×4, where a per-bus-op walk over all caches costs 16 visits; here
+/// one bus serves 256 snooping caches, so such a walk is the dominant
+/// cost and shows in this kernel's per-transaction time.
+fn kernel_mesi_16x16(quick: bool) -> u64 {
+    let config = MachineConfig::grid(16)
+        .unwrap()
+        .with_engine(EngineKind::Mesi);
+    let mut m = Machine::new(config, 16).unwrap();
+    let spec = SyntheticSpec::default().with_request_rate_per_ms(10.0);
+    m.run_synthetic(&spec, mesi_16x16_txns(quick))
+        .transactions_completed
+}
+
 /// Schedule operations one `queue_churn` pass performs.
 fn queue_churn_ops(quick: bool) -> u64 {
     if quick {
@@ -473,6 +497,13 @@ pub fn run_all(cfg: &PerfConfig) -> (Vec<KernelResult>, Vec<KernelFailure>) {
                 let mut fixture = None;
                 Box::new(move || kernel_coherence_check(&mut fixture))
             },
+        ),
+        (
+            "mesi_16x16",
+            "closed-loop Figure-2 workload at 10 req/ms/proc on a 16x16 grid under \
+             the single-bus MESI engine; units are transactions",
+            256 * mesi_16x16_txns(quick),
+            Box::new(move || kernel_mesi_16x16(quick)),
         ),
     ];
     let names: Vec<&'static str> = kernels.iter().map(|(name, _, _, _)| *name).collect();
@@ -734,6 +765,7 @@ pub fn validate_report(text: &str) -> Result<(), String> {
         "cube_pdes_events_parallel",
         "cache_churn",
         "coherence_check",
+        "mesi_16x16",
     ] {
         match medians.iter().find(|(n, _)| n == required) {
             None => return Err(format!("missing kernel {required}")),
@@ -808,15 +840,15 @@ mod tests {
         };
         let (results, failures) = run_all(&cfg);
         assert!(failures.is_empty(), "{failures:?}");
-        assert_eq!(results.len(), 8);
+        assert_eq!(results.len(), 9);
         let json = render_json(&cfg, &results, None);
         validate_report(&json).unwrap();
         let medians = extract_kernel_medians(&json);
-        assert_eq!(medians.len(), 8);
+        assert_eq!(medians.len(), 9);
         assert_eq!(medians[0].0, "machine_1k_transactions");
         assert_eq!(medians[0].1, results[0].median_ns);
         let stats = extract_kernel_stats(&json);
-        assert_eq!(stats.len(), 8);
+        assert_eq!(stats.len(), 9);
         // The guard kernels run their full workloads even in quick mode,
         // so CI guard comparisons are like-for-like.
         assert_eq!(stats[0].work_units, 1_000);
@@ -827,6 +859,8 @@ mod tests {
         assert_eq!(stats[5].work_units, CUBE_PDES_EVENTS);
         assert_eq!(stats[6].name, "cache_churn");
         assert_eq!(stats[6].work_units, CACHE_CHURN_OPS);
+        assert_eq!(stats[8].name, "mesi_16x16");
+        assert_eq!(stats[8].work_units, 256 * mesi_16x16_txns(true));
         assert!(json.contains("\"p90_ns\""));
         assert!(json.contains("\"outliers\""));
     }

@@ -183,15 +183,22 @@ fn on_bus_update(m: &mut Machine, op: &BusOp) {
     }
     let v = m.next_version(line);
     let mut remote = 0u32;
-    for idx in 0..m.controllers.len() {
+    #[cfg(debug_assertions)]
+    m.debug_check_holders(line);
+    let end = m.controllers.len();
+    let mut from = 0;
+    while let Some(idx) = m.next_holder(line, from, end) {
+        from = idx + 1;
         if idx == o_idx {
             continue;
         }
-        if let Some(cl) = m.controllers[idx].cache.peek_mut(&line) {
-            cl.data = v;
-            remote += 1;
-            m.metrics.updates.incr();
-        }
+        let cl = m.controllers[idx]
+            .cache
+            .peek_mut(&line)
+            .expect("a holder has the line");
+        cl.data = v;
+        remote += 1;
+        m.metrics.updates.incr();
     }
     let home = m.home_column(line) as usize;
     if remote > 0 {

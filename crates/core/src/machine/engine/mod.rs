@@ -402,9 +402,15 @@ pub(crate) fn arena_silent_upgrade(m: &mut Machine, idx: usize, line: LineAddr) 
 
 /// Purges every cached copy of `line` except `except`'s, counting
 /// invalidations of clean copies (the write-invalidate traffic axis).
+/// Walks the line's holder set, not every cache.
 pub(crate) fn arena_purge_remote(m: &mut Machine, line: LineAddr, except: NodeId) {
-    for idx in 0..m.controllers.len() {
-        if m.controllers[idx].node() == except {
+    #[cfg(debug_assertions)]
+    m.debug_check_holders(line);
+    let end = m.controllers.len();
+    let mut from = 0;
+    while let Some(idx) = m.next_holder(line, from, end) {
+        from = idx + 1;
+        if idx == except.as_usize() {
             continue;
         }
         if let Some(prior) = m.clear_line(idx, line) {

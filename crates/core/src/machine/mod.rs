@@ -133,7 +133,7 @@ pub(crate) struct LineEntry {
     /// Which cache (if any) holds the line modified.
     owner: Option<NodeId>,
     /// Position in [`Machine::owned_list`] while `owner` is `Some`.
-    owned_pos: usize,
+    owned_pos: u32,
     /// Number of caches holding the line shared.
     sharers: u32,
     /// Number of nodes with an outstanding transaction on the line — the
@@ -141,6 +141,9 @@ pub(crate) struct LineEntry {
     /// consistent by [`Machine::set_outstanding`] /
     /// [`Machine::clear_outstanding`].
     inflight: u32,
+    /// One plus the line's slot in [`Machine::bits`] (its holder set and
+    /// MLT column index); 0 until the line is first cached or listed.
+    bits: u32,
     /// Latest committed write (value-integrity checking).
     committed: LineVersion,
     /// The designated synchronization word of the line (§4).
@@ -219,9 +222,19 @@ pub struct Machine {
     /// Multicube engine.
     pub(crate) arena_sm: LineMap<NodeId>,
     /// Which node holds each line exclusive-clean (`E`, [`LineMode::
-    /// Reserved`]) under a single-bus engine; the registry does not track
-    /// Reserved copies, and the arena engines need O(1) snoop decisions.
+    /// Reserved`]) under a single-bus engine. The holder set records the
+    /// copy but not its mode, and the arena engines need the `E` holder in
+    /// O(1) for their snoop decisions.
     pub(crate) arena_excl: LineMap<NodeId>,
+    /// Per-line residency bits, [`Self::bit_stride`] words for each line
+    /// whose [`LineEntry::bits`] slot is set: one bit per node (the caches
+    /// holding the line, its *holder set*), then one bit per column (the
+    /// column MLTs listing it, its *column index*). Bits change only where
+    /// residency or a table does — `set_line`, `clear_line`,
+    /// `mlt_insert_all`, `mlt_remove_all` — so snoop walks visit holders
+    /// instead of every cache. Grown on first use; lines never give their
+    /// slot back (registry entries are never removed either).
+    bits: Vec<u64>,
 }
 
 impl Machine {
@@ -284,6 +297,7 @@ impl Machine {
             faults,
             arena_sm: LineMap::default(),
             arena_excl: LineMap::default(),
+            bits: Vec::new(),
             config,
         })
     }
@@ -769,8 +783,13 @@ impl Machine {
 
     /// Node indices on row `row` (borrow-free: handlers mutate while walking).
     pub(crate) fn row_nodes(&self, row: u32) -> StepBy<Range<usize>> {
+        self.row_range(row).step_by(1)
+    }
+
+    /// The contiguous node-index range of row `row`.
+    pub(crate) fn row_range(&self, row: u32) -> Range<usize> {
         let n = self.n as usize;
-        (row as usize * n..(row as usize + 1) * n).step_by(1)
+        row as usize * n..(row as usize + 1) * n
     }
 
     /// Node indices on column `col` (borrow-free).
@@ -803,7 +822,7 @@ impl Machine {
         let pos = self.owned_list.len();
         let e = self.lines.entry(line).or_default();
         if e.owner.replace(node).is_none() {
-            e.owned_pos = pos;
+            e.owned_pos = u32::try_from(pos).expect("owned-line count fits u32");
             self.owned_list.push(line);
         }
     }
@@ -815,7 +834,7 @@ impl Machine {
         if e.owner.take().is_none() {
             return;
         }
-        let pos = e.owned_pos;
+        let pos = e.owned_pos as usize;
         let last = self.owned_list.len() - 1;
         self.owned_list.swap(pos, last);
         self.owned_list.pop();
@@ -824,7 +843,7 @@ impl Machine {
             self.lines
                 .get_mut(&moved)
                 .expect("owned line has a registry entry")
-                .owned_pos = pos;
+                .owned_pos = pos as u32;
         }
     }
 
@@ -861,8 +880,8 @@ impl Machine {
     /// on `line` (a reply in flight could install a shared copy). Used by
     /// the broadcast sharing-filter ablation to stay conservative.
     ///
-    /// Answered in O(1) from the line-keyed [`Self::inflight_interest`]
-    /// index rather than scanning all `n^2` controllers.
+    /// Answered in O(1) from the line's [`LineEntry::inflight`] count
+    /// rather than scanning all `n^2` controllers.
     pub(crate) fn line_has_inflight_interest(&self, line: LineAddr, except: NodeId) -> bool {
         let count = self.lines.get(&line).map(|e| e.inflight).unwrap_or(0);
         let except_holds = self.controllers[except.as_usize()]
@@ -908,6 +927,125 @@ impl Machine {
     }
 
     // ------------------------------------------------------------------
+    // Residency bits: per-line holder sets and MLT column index
+    // ------------------------------------------------------------------
+
+    /// Words of a line's holder set: one bit per node.
+    #[inline]
+    fn holder_words(&self) -> usize {
+        self.controllers.len().div_ceil(64)
+    }
+
+    /// Words per line in [`Self::bits`]: the holder set, then one bit per
+    /// column.
+    #[inline]
+    fn bit_stride(&self) -> usize {
+        self.holder_words() + (self.n as usize).div_ceil(64)
+    }
+
+    /// Offset of `line`'s words in [`Self::bits`], if it has any.
+    #[inline]
+    fn bits_offset(&self, line: LineAddr) -> Option<usize> {
+        let slot = self.lines.get(&line)?.bits;
+        (slot > 0).then(|| (slot as usize - 1) * self.bit_stride())
+    }
+
+    /// Sets or clears bit `bit` of `line`'s words, giving the line its
+    /// slot on first use. Clearing a bit of a line without a slot is a
+    /// no-op.
+    fn set_line_bit(&mut self, line: LineAddr, bit: usize, on: bool) {
+        let stride = self.bit_stride();
+        let e = self.lines.entry(line).or_default();
+        if e.bits == 0 {
+            if !on {
+                return;
+            }
+            let slot = self.bits.len() / stride;
+            e.bits = u32::try_from(slot + 1).expect("line slot count fits u32");
+            self.bits.resize(self.bits.len() + stride, 0);
+        }
+        let word = (e.bits as usize - 1) * stride + bit / 64;
+        let mask = 1u64 << (bit % 64);
+        if on {
+            self.bits[word] |= mask;
+        } else {
+            self.bits[word] &= !mask;
+        }
+    }
+
+    /// Records whether the cache at `node_idx` holds `line`.
+    #[inline]
+    fn set_holder(&mut self, line: LineAddr, node_idx: usize, held: bool) {
+        self.set_line_bit(line, node_idx, held);
+    }
+
+    /// Records whether column `col`'s MLT lists `line`.
+    #[inline]
+    fn set_listed(&mut self, line: LineAddr, col: u32, listed: bool) {
+        let bit = self.holder_words() * 64 + col as usize;
+        self.set_line_bit(line, bit, listed);
+    }
+
+    /// The first cache in `from..end` (node indices, ascending) whose
+    /// holder bit for the line at `offset` is set. Reads the live bits,
+    /// so a walk may clear the holders it has passed.
+    fn next_holder_at(&self, offset: usize, from: usize, end: usize) -> Option<usize> {
+        let words = &self.bits[offset..offset + self.holder_words()];
+        let mut i = from;
+        while i < end {
+            let w = words[i / 64] >> (i % 64);
+            if w != 0 {
+                let b = i + w.trailing_zeros() as usize;
+                return (b < end).then_some(b);
+            }
+            i = (i / 64 + 1) * 64;
+        }
+        None
+    }
+
+    /// The first cache holding `line` among node indices `from..end`.
+    pub(crate) fn next_holder(&self, line: LineAddr, from: usize, end: usize) -> Option<usize> {
+        self.next_holder_at(self.bits_offset(line)?, from, end)
+    }
+
+    /// Whether the holder bit of the line at `offset` is set for `node_idx`.
+    #[inline]
+    fn holder_bit(&self, offset: usize, node_idx: usize) -> bool {
+        self.bits[offset + node_idx / 64] >> (node_idx % 64) & 1 == 1
+    }
+
+    /// The columns whose MLT lists `line`, ascending, as
+    /// `(first, count)`; `(None, 0)` when none does.
+    pub(crate) fn listed_columns(&self, line: LineAddr) -> (Option<u32>, u32) {
+        let Some(offset) = self.bits_offset(line) else {
+            return (None, 0);
+        };
+        let start = offset + self.holder_words();
+        let words = &self.bits[start..offset + self.bit_stride()];
+        let count = words.iter().map(|w| w.count_ones()).sum();
+        let first = words
+            .iter()
+            .position(|&w| w != 0)
+            .map(|i| (i * 64) as u32 + words[i].trailing_zeros());
+        (first, count)
+    }
+
+    /// Debug cross-check: `line`'s holder set equals the caches that
+    /// contain it.
+    #[cfg(debug_assertions)]
+    pub(crate) fn debug_check_holders(&self, line: LineAddr) {
+        let offset = self.bits_offset(line);
+        for (idx, c) in self.controllers.iter().enumerate() {
+            let bit = offset.is_some_and(|o| self.holder_bit(o, idx));
+            debug_assert_eq!(
+                bit,
+                c.cache.contains(&line),
+                "holder set of {line:?} diverged from cache {idx}"
+            );
+        }
+    }
+
+    // ------------------------------------------------------------------
     // Cache mutation helpers (keep the registries consistent)
     // ------------------------------------------------------------------
 
@@ -945,6 +1083,10 @@ impl Machine {
             if let Some(l1) = self.controllers[node_idx].proc_cache.as_mut() {
                 l1.remove(&ev.line);
             }
+            self.set_holder(ev.line, node_idx, false);
+        }
+        if prior.is_none() {
+            self.set_holder(line, node_idx, true);
         }
         self.controllers[node_idx].forget_recent(&line);
         match mode {
@@ -958,6 +1100,7 @@ impl Machine {
     /// registries and recording snarf recency.
     pub(crate) fn clear_line(&mut self, node_idx: usize, line: LineAddr) -> Option<LineMode> {
         let prior = self.controllers[node_idx].purge(&line)?;
+        self.set_holder(line, node_idx, false);
         match prior.mode {
             LineMode::Shared => self.sharers_decr(line),
             LineMode::Modified => self.registry_clear_owner(line),
@@ -1250,6 +1393,18 @@ impl Machine {
         line: LineAddr,
         except: NodeId,
     ) {
+        // Only an outstanding request on the line can be poisoned: skip the
+        // member walk when the in-flight index says nobody else has one.
+        if !self.line_has_inflight_interest(line, except) {
+            debug_assert!(
+                node_indices.clone().all(|idx| {
+                    let c = &self.controllers[idx];
+                    c.node() == except || c.outstanding().is_none_or(|o| o.line != line)
+                }),
+                "poison filter skipped a reader of {line:?}"
+            );
+            return;
+        }
         for idx in node_indices {
             let node = self.controllers[idx].node();
             if node == except {
@@ -1487,6 +1642,13 @@ mod tests {
     }
 
     #[test]
+    fn registry_entry_holds_its_residency_slot_in_40_bytes() {
+        // The residency bits live in `Machine::bits`; the entry only gains
+        // a `u32` slot, paid for by `owned_pos` shrinking to `u32`.
+        assert_eq!(std::mem::size_of::<LineEntry>(), 40);
+    }
+
+    #[test]
     fn op_duration_distinguishes_data_and_addr() {
         let m = machine(2);
         let addr_op = BusOp::new(
@@ -1522,6 +1684,94 @@ mod tests {
         assert_eq!(done.kind, RequestKind::Writeback);
         assert_eq!(done.latency.as_nanos(), 0);
         assert_eq!(done.at, SimTime::ZERO);
+    }
+
+    /// Every line's holder set is exactly the caches that contain it, and
+    /// its column index exactly the MLTs that list it — for registry lines
+    /// and, from the other side, for every resident or listed line.
+    fn assert_residency_bits(m: &Machine) {
+        let bit = |line: LineAddr, b: usize| {
+            m.bits_offset(line)
+                .is_some_and(|o| m.bits[o + b / 64] >> (b % 64) & 1 == 1)
+        };
+        let col_base = m.holder_words() * 64;
+        for &line in m.lines.keys() {
+            for (idx, c) in m.controllers.iter().enumerate() {
+                assert_eq!(
+                    bit(line, idx),
+                    c.cache.contains(&line),
+                    "{line:?} at cache {idx}"
+                );
+            }
+            for col in 0..m.n {
+                assert_eq!(
+                    bit(line, col_base + col as usize),
+                    m.mlts[col as usize].contains(&line),
+                    "{line:?} in column {col}'s MLT"
+                );
+            }
+        }
+        for (idx, c) in m.controllers.iter().enumerate() {
+            assert!(
+                c.cache.iter().all(|(line, _)| bit(line, idx)),
+                "cache {idx}"
+            );
+        }
+        for (col, mlt) in m.mlts.iter().enumerate() {
+            assert!(
+                mlt.iter().all(|&line| bit(line, col_base + col)),
+                "MLT {col}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Random runs of every engine, with and without the composite
+        /// fault plan, on small caches and tables (evictions, MLT
+        /// overflows): the residency bits match the caches and tables
+        /// after every completion and at quiescence.
+        #[test]
+        fn residency_bits_match_caches_and_tables(
+            engine in 0usize..3,
+            faulty in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+            rate in 0usize..7,
+        ) {
+            let rate = [2.0, 6.0, 10.0, 15.0, 20.0, 25.0, 30.0][rate];
+            let engine = crate::EngineKind::all()[engine];
+            let mut config = MachineConfig::grid(4)
+                .unwrap()
+                .with_engine(engine)
+                .with_snoop_cache(multicube_mem::CacheGeometry::new(4, 2))
+                .with_mlt_capacity(3)
+                .with_snarfing(seed % 2 == 0);
+            // Fault plans are a Multicube-engine feature.
+            if faulty && engine == crate::EngineKind::Multicube {
+                // The sweep's composite plan at p = 0.1.
+                let plan = crate::FaultPlan::default()
+                    .with_signal_drop(0.1)
+                    .with_op_loss(0.05)
+                    .with_op_duplicate(0.025)
+                    .with_memory_nack(0.025)
+                    .with_mlt_delay(0.025, 2_000)
+                    .with_blackout(0.0125, 2_000);
+                config = config
+                    .with_fault_plan(plan)
+                    .with_retry_policy(crate::RetryPolicy::default().with_backoff(100, 25_000));
+            }
+            let spec = SyntheticSpec::default()
+                .with_request_rate_per_ms(rate)
+                .with_shared_lines(24);
+            let mut m = Machine::new(config, seed).unwrap();
+            m.begin_synthetic(&spec, 12);
+            while m.advance().is_some() {
+                assert_residency_bits(&m);
+            }
+            assert_residency_bits(&m);
+            m.check_coherence().unwrap();
+        }
     }
 
     #[test]

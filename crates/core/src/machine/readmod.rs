@@ -5,6 +5,10 @@
 //! with the `allocate` flag set on every operation, which makes replies
 //! address-length on the bus.
 
+use std::ops::Range;
+
+use multicube_mem::LineAddr;
+
 use crate::machine::Machine;
 use crate::metrics::Served;
 use crate::node::LineMode;
@@ -54,10 +58,7 @@ impl Machine {
             self.reissue_row_request(&op);
             return;
         }
-        let holder = self
-            .col_nodes(col)
-            .find(|&i| self.controllers[i].mode_of(&op.line) == Some(LineMode::Modified));
-        let Some(d_idx) = holder else {
+        let Some(d_idx) = self.modified_holder_in(col, &op.line) else {
             self.reissue_row_request(&op);
             return;
         };
@@ -176,6 +177,11 @@ impl Machine {
             || self.sharer_count(op.line) > 0
             || self.line_has_inflight_interest(op.line, op.originator);
         self.poison_readers(self.col_nodes(col), op.line, op.originator);
+        #[cfg(debug_assertions)]
+        self.debug_check_holders(op.line);
+        // Only members in the holder set have a copy to purge; every
+        // member still relays along its row.
+        let holders = self.bits_offset(op.line);
         for idx in self.col_nodes(col) {
             let node = self.controllers[idx].node();
             let r = self.controllers[idx].row();
@@ -192,7 +198,9 @@ impl Machine {
                 }
                 self.install_and_finish(op.originator, op.txn, op.data, true, true);
             } else {
-                if self.clear_line(idx, op.line) == Some(LineMode::Shared) {
+                if holders.is_some_and(|o| self.holder_bit(o, idx))
+                    && self.clear_line(idx, op.line) == Some(LineMode::Shared)
+                {
                     self.metrics.invalidations.incr();
                 }
                 if r == o_row {
@@ -220,22 +228,36 @@ impl Machine {
         self.verify_carried(&op);
         let o_col = self.origin_col(&op);
         self.poison_readers(self.row_nodes(row), op.line, op.originator);
-        for idx in self.row_nodes(row) {
-            let node = self.controllers[idx].node();
-            if node == op.originator {
-                let ins = BusOp::new(OpKind::ReadModColInsert, op.line, op.originator, op.txn)
-                    .with_allocate(op.allocate);
-                let dst = self.col_slot(o_col);
-                self.emit(dst, ins, 0);
-                self.install_and_finish(op.originator, op.txn, op.data, true, true);
-            } else if self.controllers[idx].mode_of(&op.line) == Some(LineMode::Shared) {
-                // The formal protocol exempts home-column caches ("the home
-                // column data cache has already been purged"), but with
-                // snarfing a home-column node can re-acquire a stale copy
-                // *between* the column purge and this row purge — so we
-                // purge unconditionally; re-purging an invalid line is a
-                // no-op.
-                self.clear_line(idx, op.line);
+        // The formal protocol exempts home-column caches ("the home column
+        // data cache has already been purged"), but with snarfing a
+        // home-column node can re-acquire a stale copy *between* the
+        // column purge and this row purge — so every member is purged.
+        // Member order is kept: holders before the originator, the
+        // originator's install, then holders after it.
+        let o_idx = op.originator.as_usize();
+        let members = self.row_range(row);
+        self.purge_shared_holders(op.line, members.start..o_idx);
+        let ins = BusOp::new(OpKind::ReadModColInsert, op.line, op.originator, op.txn)
+            .with_allocate(op.allocate);
+        let dst = self.col_slot(o_col);
+        self.emit(dst, ins, 0);
+        self.install_and_finish(op.originator, op.txn, op.data, true, true);
+        self.purge_shared_holders(op.line, o_idx + 1..members.end);
+    }
+
+    /// Invalidates the shared copies of `line` among node indices
+    /// `range`, walking the holder set in ascending order.
+    fn purge_shared_holders(&mut self, line: LineAddr, range: Range<usize>) {
+        #[cfg(debug_assertions)]
+        self.debug_check_holders(line);
+        let Some(offset) = self.bits_offset(line) else {
+            return;
+        };
+        let mut from = range.start;
+        while let Some(idx) = self.next_holder_at(offset, from, range.end) {
+            from = idx + 1;
+            if self.controllers[idx].mode_of(&line) == Some(LineMode::Shared) {
+                self.clear_line(idx, line);
                 self.metrics.invalidations.incr();
             }
         }
@@ -262,17 +284,17 @@ impl Machine {
             return;
         }
         self.poison_readers(self.row_nodes(row), op.line, op.originator);
-        for idx in self.row_nodes(row) {
-            if self.controllers[idx].node() == op.originator {
-                continue;
-            }
-            // Home-column caches are purged again deliberately (see
-            // `on_readmod_row_reply_purge`): a snarfed copy may have
-            // appeared after the column purge.
-            if self.controllers[idx].mode_of(&op.line) == Some(LineMode::Shared) {
-                self.clear_line(idx, op.line);
-                self.metrics.invalidations.incr();
-            }
+        // Home-column caches are purged again deliberately (see
+        // `on_readmod_row_reply_purge`): a snarfed copy may have appeared
+        // after the column purge. The originator may sit on this row; its
+        // own copy is never purged.
+        let members = self.row_range(row);
+        let o_idx = op.originator.as_usize();
+        if members.contains(&o_idx) {
+            self.purge_shared_holders(op.line, members.start..o_idx);
+            self.purge_shared_holders(op.line, o_idx + 1..members.end);
+        } else {
+            self.purge_shared_holders(op.line, members);
         }
     }
 

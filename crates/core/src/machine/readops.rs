@@ -2,6 +2,7 @@
 //! modified-signal polling, MLT maintenance and snarfing.
 
 use multicube_mem::LineAddr;
+use multicube_topology::NodeId;
 
 use crate::machine::Machine;
 use crate::metrics::Served;
@@ -27,9 +28,40 @@ impl Machine {
         line: &LineAddr,
         txn: crate::proto::TxnId,
     ) -> Option<u32> {
+        let found = if self.faults.plan().is_active() {
+            self.poll_replicas(row, line, txn)
+        } else {
+            // Every replica answers, and answers from its column's table:
+            // the column index names the claimants directly.
+            let (first, count) = self.listed_columns(*line);
+            debug_assert!(count <= 1, "two columns claim {line:?} modified");
+            debug_assert_eq!(
+                first,
+                (0..self.n).find(|&c| self.mlts[c as usize].contains(line)),
+                "column index of {line:?} diverged from the MLTs"
+            );
+            first
+        };
+        if found.is_some() && self.faults.drop_signal(txn) {
+            self.metrics.dropped_signals.incr();
+            let slot = self.row_slot(row);
+            self.trace_point(TracePoint::SignalDrop, Some(slot), *line, None, None);
+            return None;
+        }
+        found
+    }
+
+    /// The modified signal under an active fault plan: each row member's
+    /// replica in turn, skipping blacked-out controllers and answering
+    /// from stale views; the first claimant's column wins.
+    fn poll_replicas(
+        &mut self,
+        row: u32,
+        line: &LineAddr,
+        txn: crate::proto::TxnId,
+    ) -> Option<u32> {
         let now = self.now();
         let mut found: Option<u32> = None;
-        let perturbed = self.faults.plan().is_active();
         for (col, idx) in self.row_nodes(row).enumerate() {
             if self.faults.in_blackout(idx, txn, now) {
                 continue;
@@ -38,25 +70,26 @@ impl Machine {
                 Some(stale) => stale,
                 None => self.mlts[col].contains(line),
             };
-            if present {
-                debug_assert!(
-                    found.is_none() || perturbed,
-                    "two columns claim {line:?} modified"
-                );
-                if found.is_none() {
-                    found = Some(col as u32);
-                }
-                if !cfg!(debug_assertions) && !perturbed {
-                    break;
-                }
+            if present && found.is_none() {
+                found = Some(col as u32);
             }
         }
-        if found.is_some() && self.faults.drop_signal(txn) {
-            self.metrics.dropped_signals.incr();
-            let slot = self.row_slot(row);
-            self.trace_point(TracePoint::SignalDrop, Some(slot), *line, None, None);
-            return None;
-        }
+        found
+    }
+
+    /// The column-`col` cache holding `line` modified: the registry owner,
+    /// if it sits in that column (at most one cache holds a line modified).
+    pub(crate) fn modified_holder_in(&self, col: u32, line: &LineAddr) -> Option<usize> {
+        let found = self
+            .registry_owner(*line)
+            .map(NodeId::as_usize)
+            .filter(|&i| self.controllers[i].col() == col);
+        debug_assert_eq!(
+            found,
+            self.col_nodes(col)
+                .find(|&i| self.controllers[i].mode_of(line) == Some(LineMode::Modified)),
+            "registry owner of {line:?} diverged from the column-{col} scan"
+        );
         found
     }
 
@@ -93,6 +126,7 @@ impl Machine {
     pub(crate) fn mlt_remove_all(&mut self, col: u32, line: &LineAddr) -> bool {
         let removed = self.mlts[col as usize].remove(line);
         if removed {
+            self.set_listed(*line, col, false);
             let slot = self.col_slot(col);
             self.trace_point(TracePoint::MltRemove, Some(slot), *line, None, None);
             self.maybe_delay_replica(col, *line, true);
@@ -127,6 +161,7 @@ impl Machine {
     pub(crate) fn mlt_insert_all(&mut self, col: u32, op: &BusOp) {
         use multicube_mem::MltInsert;
         let inserted = self.mlts[col as usize].insert(op.line);
+        self.set_listed(op.line, col, true);
         let slot = self.col_slot(col);
         self.trace_point(
             TracePoint::MltInsert,
@@ -140,10 +175,8 @@ impl Machine {
             return;
         };
         self.metrics.mlt_overflows.incr();
-        let holder = self
-            .col_nodes(col)
-            .find(|&i| self.controllers[i].mode_of(&victim) == Some(LineMode::Modified));
-        let Some(h_idx) = holder else {
+        self.set_listed(victim, col, false);
+        let Some(h_idx) = self.modified_holder_in(col, &victim) else {
             assert!(
                 !self.config.checking(),
                 "MLT overflow victim {victim:?} has no holder in column {col}"
@@ -314,10 +347,7 @@ impl Machine {
             self.reissue_row_request(&op);
             return;
         }
-        let holder = self
-            .col_nodes(col)
-            .find(|&i| self.controllers[i].mode_of(&op.line) == Some(LineMode::Modified));
-        let Some(d_idx) = holder else {
+        let Some(d_idx) = self.modified_holder_in(col, &op.line) else {
             // Defensive: table and caches diverged; retry as a lost race.
             self.reissue_row_request(&op);
             return;
